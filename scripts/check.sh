@@ -15,6 +15,10 @@
 # protocol are the concurrency-heavy paths), and a perf-regression gate
 # over the two newest BENCH_*.json
 # files from scripts/bench.sh (skipped until two runs exist).
+# The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
+# suites (tests/reuse_test.cc: kept-result keys hold table pointers, and
+# tables hold batch records), and the TSan pass also runs their parallel
+# case, whose kept-result keys read node versions another engine wrote.
 #
 #   scripts/check.sh           # full run (tier-1 + asan + asan+ubsan + tsan)
 #   scripts/check.sh --fast    # tier-1 only (perf gate still runs)
@@ -122,17 +126,18 @@ cmake -B build-asan -S . -DRTIC_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" -L 'unit|fuzz|fault')
 
-echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + bench_e13 smoke (build-asan-ubsan/) =="
+echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + reuse_test + bench_e13 smoke (build-asan-ubsan/) =="
 cmake -B build-asan-ubsan -S . -DRTIC_SANITIZE=address+undefined >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS"
 (cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -L 'checkpoint|shard|anchor|workload')
+(cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -R '^(KeptResultTest|BatchAbsorbTest)\.')
 # A 30-second cap keeps the smoke cheap: one small-state full-vs-delta pair
 # is enough to drive the codec, the delta writer, and chain recovery under
 # both sanitizers. Codec or chain regressions fail fast here.
 timeout 30 ./build-asan-ubsan/bench/bench_e13_checkpoint \
   --benchmark_filter='state:1000'
 
-echo "== tsan: parallel + fault + replication + server + shard + anchor labels (build-tsan/) =="
+echo "== tsan: parallel + fault + replication + server + shard + anchor labels + parallel kept results (build-tsan/) =="
 cmake -B build-tsan -S . -DRTIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSan slows the exhaustive crash matrices ~10x; subsample their fault
@@ -142,5 +147,7 @@ cmake --build build-tsan -j "$JOBS"
 (cd build-tsan && RTIC_MATRIX_STRIDE=7 \
   ctest --output-on-failure -j "$JOBS" \
   -L 'parallel|fault|replication|server|shard|anchor')
+(cd build-tsan && ctest --output-on-failure \
+  -R '^KeptResultTest\.ParallelSharedSubplansMatchSerialTranscript$')
 
 echo "== ok =="

@@ -101,6 +101,7 @@ IncrementalEngine::IncrementalEngine(tl::FormulaPtr constraint,
     domain_ = std::make_shared<inc::SharedDomain>();
     verdict_ = std::make_shared<inc::SharedVerdict>();
   }
+  kept_.resize(2 * network_.nodes.size() + 1);
 }
 
 void IncrementalEngine::ConfigureNodeStore(std::size_t i,
@@ -136,11 +137,65 @@ fo::EvalContext IncrementalEngine::ContextFor(const Database& state) {
   return ctx;
 }
 
+bool IncrementalEngine::InputsUnchanged(const Kept& kept,
+                                        const Database& state) const {
+  if (!kept.tables.empty() && kept.layout_id != state.layout_id()) {
+    return false;
+  }
+  for (const Kept::TableInput& in : kept.tables) {
+    if (in.table->id() != in.id || in.table->version() != in.version) {
+      return false;
+    }
+  }
+  for (const auto& [node, version] : kept.nodes) {
+    if (states_[node]->st.current_version != version) return false;
+  }
+  return !kept.domain || domain_->tracker.size() == kept.domain_size;
+}
+
+Result<Relation> IncrementalEngine::EvaluateKept(const Formula& f,
+                                                 std::size_t site,
+                                                 const Database& state) {
+  Kept& kept = kept_[site];
+  if (kept.valid && InputsUnchanged(kept, state)) return kept.rel;
+
+  scratch_.ClearReads();
+  Result<Relation> result = fo::Evaluate(f, ContextFor(state));
+  const bool leaf = f.kind() == FormulaKind::kPrevious ||
+                    f.kind() == FormulaKind::kOnce ||
+                    f.kind() == FormulaKind::kSince;
+  kept.valid = result.ok() && !leaf;
+  if (!kept.valid) {
+    kept.rel = Relation();
+    return result;
+  }
+  // The evaluation's result is a function of exactly what it read, so the
+  // same reads give the same relation (the path taken through the formula
+  // depends only on them, too).
+  kept.layout_id = state.layout_id();
+  kept.tables.clear();
+  for (const Table* table : scratch_.scanned_tables) {
+    bool seen = false;
+    for (const Kept::TableInput& in : kept.tables) seen |= in.table == table;
+    if (!seen) kept.tables.push_back({table, table->id(), table->version()});
+  }
+  kept.nodes.clear();
+  for (const Formula* leaf : scratch_.resolved_leaves) {
+    const std::size_t node = network_.index.at(leaf);  // resolved above
+    bool seen = false;
+    for (const auto& in : kept.nodes) seen |= in.first == node;
+    if (!seen) kept.nodes.emplace_back(node, states_[node]->st.current_version);
+  }
+  kept.domain = scratch_.domain_consulted;
+  kept.domain_size = domain_->tracker.size();
+  kept.rel = *result;
+  return result;
+}
+
 Status IncrementalEngine::UpdateNode(std::size_t i, const Database& state,
                                      Timestamp t) {
   const inc::CompiledNode& cn = network_.nodes[i];
   inc::NodeState& ns = states_[i]->st;
-  fo::EvalContext ctx = ContextFor(state);
 
   switch (cn.node->kind()) {
     case FormulaKind::kPrevious: {
@@ -157,9 +212,15 @@ Status IncrementalEngine::UpdateNode(std::size_t i, const Database& state,
       } else {
         ns.current = Relation(cn.columns);
       }
-      ++ns.current_version;  // conservative: content may be unchanged
+      // Same row storage (or both rowless) means same content; anything
+      // else counts as a change (conservative, and O(1)). A body reused
+      // across a run of ticks keeps its storage, so the version holds.
+      if (ns.current.RowIdentity() != old_current.RowIdentity()) {
+        ++ns.current_version;
+      }
       // Remember the body's satisfaction *now* for the next transition.
-      Result<Relation> body_now = fo::Evaluate(cn.node->child(0), ctx);
+      Result<Relation> body_now =
+          EvaluateKept(cn.node->child(0), 2 * i, state);
       if (!body_now.ok()) return body_now.status();
       if (delta_tracking_) {
         if (!(ns.current == old_current)) ns.current_dirty = true;
@@ -169,7 +230,8 @@ Status IncrementalEngine::UpdateNode(std::size_t i, const Database& state,
       return Status::OK();
     }
     case FormulaKind::kOnce: {
-      Result<Relation> body_now = fo::Evaluate(cn.node->child(0), ctx);
+      Result<Relation> body_now =
+          EvaluateKept(cn.node->child(0), 2 * i, state);
       if (!body_now.ok()) return body_now.status();
       for (const Tuple& row : body_now->rows()) ns.anchors.Append(row, t);
       break;
@@ -177,10 +239,11 @@ Status IncrementalEngine::UpdateNode(std::size_t i, const Database& state,
     case FormulaKind::kSince: {
       // Survivor filter: an anchor entry stays only while the lhs keeps
       // holding for its valuation. New anchors need only the rhs now.
-      Result<Relation> lhs_now = fo::Evaluate(cn.node->child(0), ctx);
+      Result<Relation> lhs_now = EvaluateKept(cn.node->child(0), 2 * i, state);
       if (!lhs_now.ok()) return lhs_now.status();
       ns.anchors.FilterSurvivors(*lhs_now, &ns.current);
-      Result<Relation> rhs_now = fo::Evaluate(cn.node->child(1), ctx);
+      Result<Relation> rhs_now =
+          EvaluateKept(cn.node->child(1), 2 * i + 1, state);
       if (!rhs_now.ok()) return rhs_now.status();
       for (const Tuple& row : rhs_now->rows()) ns.anchors.Append(row, t);
       break;
@@ -245,7 +308,8 @@ Result<bool> IncrementalEngine::OnTransition(const Database& state,
     inc::SharedVerdict& v = *verdict_;
     std::lock_guard<std::mutex> lock(v.mu);
     if (v.verdict_transitions < target) {
-      Result<Relation> verdict = fo::Evaluate(*constraint_, ContextFor(state));
+      Result<Relation> verdict =
+          EvaluateKept(*constraint_, kept_.size() - 1, state);
       if (verdict.ok()) {
         v.status = Status::OK();
         v.holds = verdict->AsBool();
@@ -332,6 +396,7 @@ void IncrementalEngine::DetachSharedState() {
   transitions_ = 0;
   shared_subplans_ = 0;
   scratch_.InvalidateDomain();
+  for (Kept& kept : kept_) kept = Kept();
 }
 
 namespace {

@@ -17,6 +17,16 @@
 // the history's length — only on the current state, the previous auxiliary
 // state, and the two timestamps.
 //
+// Each first-order evaluation a transition makes — a node's body (both
+// sides of a since) and the verdict — keeps its result keyed by what it
+// read: the (id, version) of every table it scanned, the current_version of
+// every temporal node it resolved, and, if it consulted the quantification
+// domain, the tracker's size. When the key still matches, the kept relation
+// is the evaluation's result and fo::Evaluate is skipped; everything else
+// (appending anchors, filtering survivors, advancing the expiry wheel) runs
+// as always. Clock ticks and updates to unrelated tables thus cost a key
+// check per evaluation.
+//
 // When an IncrementalOptions::registry is supplied, the per-node state, the
 // domain tracker, and the whole-constraint verdict are interned by
 // canonical text (plus registration epoch / pruning / extra constants), so
@@ -30,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engines/checker_engine.h"
@@ -130,15 +141,42 @@ class IncrementalEngine : public CheckerEngine {
   IncrementalEngine(tl::FormulaPtr constraint, tl::Analysis analysis,
                     inc::CompiledNetwork network, IncrementalOptions options);
 
+  /// A kept evaluation result and the inputs it was computed from.
+  struct Kept {
+    struct TableInput {
+      const Table* table = nullptr;  // valid while layout_id matches
+      std::uint64_t id = 0;
+      std::uint64_t version = 0;
+    };
+    bool valid = false;
+    std::uint64_t layout_id = 0;  // Database::layout_id() when kept
+    std::vector<TableInput> tables;
+    // (network index, current_version) of each temporal node resolved.
+    std::vector<std::pair<std::size_t, std::uint64_t>> nodes;
+    bool domain = false;  // consulted the domain; then keyed by its size
+    std::size_t domain_size = 0;
+    Relation rel;
+  };
+
   fo::EvalContext ContextFor(const Database& state);
   Status UpdateNode(std::size_t i, const Database& state, Timestamp t);
+
+  /// fo::Evaluate(f) for evaluation site `site` (node i's child c at
+  /// 2i + c, the verdict at 2 * nodes): the kept result when none of its
+  /// inputs changed, else a fresh evaluation, kept unless it failed or `f`
+  /// is a bare temporal leaf (keeping that would pin the node's `current`
+  /// and force a copy on its next in-place update).
+  Result<Relation> EvaluateKept(const tl::Formula& f, std::size_t site,
+                                const Database& state);
+  bool InputsUnchanged(const Kept& kept, const Database& state) const;
 
   /// Applies node i's interval / pruning policy / survivor projection to an
   /// anchor store (a fresh node's, or one staged from a checkpoint).
   void ConfigureNodeStore(std::size_t i, inc::AnchorStore* store) const;
 
   /// Replaces all shared handles with fresh private copies of the current
-  /// content (checkpoint restore breaks the lockstep sharing invariant).
+  /// content (checkpoint restore breaks the lockstep sharing invariant),
+  /// and drops every kept result: restored node versions restart at zero.
   void DetachSharedState();
 
   tl::FormulaPtr constraint_;
@@ -154,6 +192,7 @@ class IncrementalEngine : public CheckerEngine {
   std::uint64_t transitions_ = 0;  // lockstep counter (see subplan_registry.h)
   std::size_t shared_subplans_ = 0;
   fo::EvalScratch scratch_;
+  std::vector<Kept> kept_;  // per evaluation site (see EvaluateKept)
   bool has_prev_ = false;
   Timestamp prev_time_ = 0;
 

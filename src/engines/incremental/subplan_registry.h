@@ -49,8 +49,10 @@ struct NodeState {
   Relation prev_body;   // previous-state body satisfaction (kPrevious)
   AnchorStore anchors;  // columnar anchor table (kOnce / kSince)
   /// Bumped whenever `current`'s content changes (exact for once/since,
-  /// where publication is delta-driven; conservative for previous nodes).
-  /// Cheap change detection for observers holding a stale copy.
+  /// where publication is delta-driven; for previous nodes, bumped unless
+  /// the new relation shares the old one's row storage). Kept results of
+  /// evaluations that resolved this node are keyed by it (see
+  /// IncrementalEngine::EvaluateKept).
   std::uint64_t current_version = 0;
   // Dirty-since-MarkStateSaved bits; set by mutation, cleared by
   // MarkStateSaved.

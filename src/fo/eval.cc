@@ -317,6 +317,7 @@ class Evaluator {
     // (id, version) pin keeps cached entries valid exactly as long as the
     // table is untouched.
     if (scratch_ != nullptr) {
+      scratch_->scanned_tables.push_back(table);
       auto hit = scratch_->atom_results.find(&f);
       if (hit != scratch_->atom_results.end() &&
           hit->second.table_id == table->id() &&
@@ -425,6 +426,7 @@ class Evaluator {
           std::string(FormulaKindToString(f.kind())) +
           " but no temporal resolver was provided");
     }
+    if (scratch_ != nullptr) scratch_->resolved_leaves.push_back(&f);
     RTIC_ASSIGN_OR_RETURN(Relation rel, ctx_.resolver(f));
     return Canonicalize(std::move(rel), f);
   }
@@ -504,6 +506,7 @@ class Evaluator {
     // With a scratch and a tracker, domain values are cached across
     // evaluations and invalidated by the tracker's version (its additions
     // count — the tracker only ever grows).
+    if (scratch_ != nullptr) scratch_->domain_consulted = true;
     if (scratch_ != nullptr && ctx_.domain != nullptr) {
       std::uint64_t version = ctx_.domain->additions().size();
       if (scratch_->domain_version != version) {

@@ -92,9 +92,29 @@ struct EvalScratch {
   /// it at transition boundaries.
   Arena arena;
 
-  /// Call at the top of each transition: drops per-update temporaries.
-  /// (The atom cache self-validates via table versions and is kept.)
-  void BeginUpdate() { arena.Reset(); }
+  /// What evaluations read since the caller last cleared these: the table
+  /// of every atom scanned (atom-cache hits included), every temporal leaf
+  /// resolved (repeats possible in both), and whether the quantification
+  /// domain was consulted. That is everything an evaluation depends on, so
+  /// a caller that clears them first can key the result by them.
+  std::vector<const Table*> scanned_tables;
+  std::vector<const tl::Formula*> resolved_leaves;
+  bool domain_consulted = false;
+
+  /// Clears the read record above.
+  void ClearReads() {
+    scanned_tables.clear();
+    resolved_leaves.clear();
+    domain_consulted = false;
+  }
+
+  /// Call at the top of each transition: drops per-update temporaries and
+  /// the read record. (The atom cache self-validates via table versions
+  /// and is kept.)
+  void BeginUpdate() {
+    arena.Reset();
+    ClearReads();
+  }
 
   /// Call after restoring engine state from a checkpoint: the restored
   /// tracker can reuse a version number for different contents. Plans, the

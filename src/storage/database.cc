@@ -1,14 +1,21 @@
 #include "storage/database.h"
 
+#include <atomic>
 #include <set>
 
 namespace rtic {
+
+std::uint64_t Database::NextLayoutId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Status Database::CreateTable(const std::string& name, Schema schema) {
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table already exists: " + name);
   }
   tables_.emplace(name, Table(name, std::move(schema)));
+  layout_id_ = NextLayoutId();
   return Status::OK();
 }
 
@@ -36,6 +43,7 @@ Status Database::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return Status::NotFound("no such table: " + name);
   }
+  layout_id_ = NextLayoutId();
   return Status::OK();
 }
 

@@ -5,8 +5,10 @@
 #ifndef RTIC_STORAGE_DATABASE_H_
 #define RTIC_STORAGE_DATABASE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -23,7 +25,34 @@ namespace rtic {
 /// (CreateTable, GetMutableTable, DropTable) requires exclusive access.
 class Database {
  public:
-  Database() = default;
+  Database() : layout_id_(NextLayoutId()) {}
+  Database(const Database& o)
+      : tables_(o.tables_), layout_id_(NextLayoutId()) {}
+  Database(Database&& o) noexcept
+      : tables_(std::move(o.tables_)), layout_id_(NextLayoutId()) {
+    o.layout_id_ = NextLayoutId();
+  }
+  Database& operator=(const Database& o) {
+    tables_ = o.tables_;
+    layout_id_ = NextLayoutId();
+    return *this;
+  }
+  Database& operator=(Database&& o) noexcept {
+    tables_ = std::move(o.tables_);
+    layout_id_ = NextLayoutId();
+    o.layout_id_ = NextLayoutId();
+    return *this;
+  }
+
+  /// Process-unique identity of this object's table set: fresh on
+  /// construction, copy, move and every CreateTable/DropTable. While it is
+  /// unchanged, a Table pointer obtained from this object stays valid and
+  /// still names the same table slot — the basis for callers that key
+  /// cached results by table pointers without looking tables up again.
+  std::uint64_t layout_id() const { return layout_id_; }
+
+  /// Every table, by name (sorted iteration).
+  const std::map<std::string, Table>& tables() const { return tables_; }
 
   /// Creates an empty table. Fails if the name already exists.
   Status CreateTable(const std::string& name, Schema schema);
@@ -55,7 +84,10 @@ class Database {
   std::string ToString() const;
 
  private:
+  static std::uint64_t NextLayoutId();
+
   std::map<std::string, Table> tables_;
+  std::uint64_t layout_id_ = 0;
 };
 
 }  // namespace rtic

@@ -7,16 +7,24 @@ void DomainTracker::Add(const Value& v) {
 }
 
 void DomainTracker::Absorb(const Database& db) {
-  for (const std::string& name : db.TableNames()) {
-    const Table* table = db.GetTable(name).value();
-    auto it = absorbed_versions_.find(table->id());
-    if (it != absorbed_versions_.end() && it->second == table->version()) {
+  for (const auto& [name, table] : db.tables()) {
+    auto [it, first] = absorbed_versions_.try_emplace(table.id(), 0);
+    if (!first && it->second == table.version()) {
       continue;  // content unchanged since the last absorb
     }
-    for (const Tuple& row : table->rows()) {
-      for (const Value& v : row.values()) Add(v);
+    auto add_rows = [this](const auto& rows) {
+      for (const Tuple& row : rows) {
+        for (const Value& v : row.values()) Add(v);
+      }
+    };
+    const std::vector<Tuple>* inserted =
+        first ? nullptr : table.BatchInsertsSince(it->second);
+    if (inserted != nullptr) {
+      add_rows(*inserted);
+    } else {
+      add_rows(table.rows());
     }
-    absorbed_versions_[table->id()] = table->version();
+    it->second = table.version();
   }
 }
 

@@ -36,7 +36,11 @@ class DomainTracker {
  public:
   /// Adds every value occurring in `db`. Tables whose (id, version) pair is
   /// unchanged since a prior Absorb are skipped — their values are already
-  /// tracked, and the domain only grows.
+  /// tracked, and the domain only grows. A table whose last batch started
+  /// at exactly the version absorbed last time contributes only the rows
+  /// that batch inserted (Table::BatchInsertsSince), in insert order; every
+  /// other table — first seen, copied or restored, or changed outside a
+  /// batch — is scanned in full. Both give the same value set.
   void Absorb(const Database& db);
 
   /// Adds explicit values (formula constants, registered domain values).

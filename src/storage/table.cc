@@ -28,6 +28,24 @@ bool Table::Erase(const Tuple& tuple) {
   return erased;
 }
 
+Status Table::ApplyBatch(const std::vector<Tuple>* deletes,
+                         const std::vector<Tuple>* inserts) {
+  batch_base_version_ = version_;
+  batch_version_ = kNoBatch;
+  batch_inserts_.clear();
+  if (deletes != nullptr) {
+    for (const Tuple& t : *deletes) Erase(t);
+  }
+  if (inserts != nullptr) {
+    for (const Tuple& t : *inserts) {
+      RTIC_ASSIGN_OR_RETURN(bool inserted, Insert(t));
+      if (inserted) batch_inserts_.push_back(t);
+    }
+  }
+  batch_version_ = version_;
+  return Status::OK();
+}
+
 bool Table::Contains(const Tuple& tuple) const {
   return rows_.find(tuple) != rows_.end();
 }

@@ -72,16 +72,22 @@ Status UpdateBatch::Validate(const Database& db) const {
 Status UpdateBatch::Apply(Database* db) const {
   // Validate everything before mutating so a failed Apply has no effect.
   RTIC_RETURN_IF_ERROR(Validate(*db));
-  for (const auto& [name, tuples] : deletes_) {
+  // Tables are independent, so applying each touched table's deletes and
+  // then its inserts as one Table::ApplyBatch (a merge over the two sorted
+  // maps) is the documented deletes-then-inserts order.
+  auto del = deletes_.begin();
+  auto ins = inserts_.begin();
+  while (del != deletes_.end() || ins != inserts_.end()) {
+    const bool take_del = del != deletes_.end() &&
+                          (ins == inserts_.end() || del->first <= ins->first);
+    const bool take_ins = ins != inserts_.end() &&
+                          (del == deletes_.end() || ins->first <= del->first);
+    const std::string& name = take_del ? del->first : ins->first;
     Table* table = db->GetMutableTable(name).value();
-    for (const Tuple& t : tuples) table->Erase(t);
-  }
-  for (const auto& [name, tuples] : inserts_) {
-    Table* table = db->GetMutableTable(name).value();
-    for (const Tuple& t : tuples) {
-      Result<bool> r = table->Insert(t);
-      if (!r.ok()) return r.status();
-    }
+    RTIC_RETURN_IF_ERROR(table->ApplyBatch(take_del ? &del->second : nullptr,
+                                           take_ins ? &ins->second : nullptr));
+    if (take_del) ++del;
+    if (take_ins) ++ins;
   }
   return Status::OK();
 }
