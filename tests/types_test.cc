@@ -275,10 +275,7 @@ TEST(ValueSentinelDeathTest, HashingDefaultConstructedValueAsserts) {
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST
 
 // Parameterized sweep: hashing and ordering are consistent for every type.
-class ValueRoundTripTest : public ::testing::TestWithParam<Value> {};
-
-TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
-  const Value& v = GetParam();
+void ExpectSelfConsistent(const Value& v) {
   EXPECT_EQ(v, v);
   EXPECT_EQ(v.Hash(), v.Hash());
   EXPECT_FALSE(v < v);
@@ -286,13 +283,40 @@ TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
   EXPECT_TRUE((t == Tuple{v}));
 }
 
+class ValueRoundTripTest : public ::testing::TestWithParam<Value> {};
+
+TEST_P(ValueRoundTripTest, SelfEqualityAndHashStability) {
+  ExpectSelfConsistent(GetParam());
+}
+
+// A Value parameter is named by a dump of its bytes. An int's or a double's
+// dump starts with the number itself, but a string's starts with a heap
+// address and a bool's with padding, so their names would change from one
+// build to the next. Strings and bools are swept below with the primitive
+// as the parameter instead.
 INSTANTIATE_TEST_SUITE_P(
     AllTypes, ValueRoundTripTest,
     ::testing::Values(Value::Int64(0), Value::Int64(-1),
                       Value::Int64(1'000'000'007), Value::Double(0.0),
-                      Value::Double(-2.5), Value::String(""),
-                      Value::String("hello world"), Value::Bool(true),
-                      Value::Bool(false)));
+                      Value::Double(-2.5)));
+
+class StringValueRoundTripTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(StringValueRoundTripTest, SelfEqualityAndHashStability) {
+  ExpectSelfConsistent(S(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTypes, StringValueRoundTripTest,
+                         ::testing::Values("", "hello world"));
+
+class BoolValueRoundTripTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BoolValueRoundTripTest, SelfEqualityAndHashStability) {
+  ExpectSelfConsistent(B(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTypes, BoolValueRoundTripTest, ::testing::Bool());
 
 }  // namespace
 }  // namespace rtic
