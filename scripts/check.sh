@@ -11,14 +11,16 @@
 # the open-loop driver), a ThreadSanitizer pass over the parallel, fault,
 # replication, server, shard, and anchor labels (group commit, the crash
 # matrices, the background shipper thread, the multi-session TCP server,
-# the sharded monitor's fan-out pool, and the shared-subplan lockstep
-# protocol are the concurrency-heavy paths), and a perf-regression gate
-# over the two newest BENCH_*.json
+# and the sharded monitor's fan-out pool are the concurrency-heavy paths),
+# and a perf-regression gate over the two newest BENCH_*.json
 # files from scripts/bench.sh (skipped until two runs exist).
 # The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
 # suites (tests/reuse_test.cc: kept-result keys hold table pointers, and
-# tables hold batch records), and the TSan pass also runs their parallel
-# case, whose kept-result keys read node versions another engine wrote.
+# tables hold batch records). The TSan pass also runs the shared-subplan
+# cases of a pooled monitor: KeptResultTest's parallel cases and the
+# SharedSubplanFuzzTest seeds (fuzz label, 8 threads), where engines read
+# subplan objects that another engine wrote on another thread just before
+# the fan-out.
 #
 #   scripts/check.sh           # full run (tier-1 + asan + asan+ubsan + tsan)
 #   scripts/check.sh --fast    # tier-1 only (perf gate still runs)
@@ -137,7 +139,7 @@ cmake --build build-asan-ubsan -j "$JOBS"
 timeout 30 ./build-asan-ubsan/bench/bench_e13_checkpoint \
   --benchmark_filter='state:1000'
 
-echo "== tsan: parallel + fault + replication + server + shard + anchor labels + parallel kept results (build-tsan/) =="
+echo "== tsan: parallel + fault + replication + server + shard + anchor labels + shared subplans (build-tsan/) =="
 cmake -B build-tsan -S . -DRTIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSan slows the exhaustive crash matrices ~10x; subsample their fault
@@ -147,7 +149,7 @@ cmake --build build-tsan -j "$JOBS"
 (cd build-tsan && RTIC_MATRIX_STRIDE=7 \
   ctest --output-on-failure -j "$JOBS" \
   -L 'parallel|fault|replication|server|shard|anchor')
-(cd build-tsan && ctest --output-on-failure \
-  -R '^KeptResultTest\.ParallelSharedSubplansMatchSerialTranscript$')
+(cd build-tsan && ctest --output-on-failure -j "$JOBS" \
+  -R '^(KeptResultTest\.Parallel|Seeds/SharedSubplanFuzzTest\.)')
 
 echo "== ok =="

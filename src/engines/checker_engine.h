@@ -25,9 +25,11 @@ namespace rtic {
 /// driven by at most one thread at a time. Distinct engine instances may
 /// run concurrently against the same `state`, which they must treat as
 /// strictly read-only; all of an engine's mutable state (aux relations,
-/// domain tracker, history copies) must be owned by the engine itself, or —
-/// for incremental engines created with a SubplanRegistry — guarded by the
-/// lockstep sharing protocol documented in subplan_registry.h.
+/// domain tracker, history copies) must be owned by the engine itself. The
+/// one exception is incremental engines linked by an inc::SubplanDag: each
+/// shared object is written by one engine and only read by the others, so
+/// the writer must finish its transition before any reader starts (the
+/// monitor checks writers first; see subplan_dag.h).
 class CheckerEngine {
  public:
   virtual ~CheckerEngine() = default;
@@ -56,7 +58,7 @@ class CheckerEngine {
   virtual std::size_t AuxTimestampCount() const { return 0; }
 
   /// Number of subplan handles this engine shares with engines registered
-  /// earlier (see inc::SubplanRegistry). 0 for engines without sharing.
+  /// earlier (see inc::SubplanDag). 0 for engines without sharing.
   virtual std::size_t SharedSubplans() const { return 0; }
 
   /// Engine name for reports ("naive", "incremental", "active",

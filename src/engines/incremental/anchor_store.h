@@ -39,9 +39,8 @@
 // instead of rebuilding it. The relation's shared row storage therefore
 // survives across transitions and the join indexes cached on it stay hot.
 //
-// Not thread-safe; guarded by the owning SharedNode's mutex like the rest
-// of NodeState. Copyable (checkpoint restore detaches shared state by
-// copying it).
+// Not thread-safe: like the rest of its NodeState, a store is written by
+// one engine at a time (its writer; see subplan_dag.h). Copyable.
 
 #ifndef RTIC_ENGINES_INCREMENTAL_ANCHOR_STORE_H_
 #define RTIC_ENGINES_INCREMENTAL_ANCHOR_STORE_H_

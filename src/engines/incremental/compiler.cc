@@ -14,6 +14,7 @@ Status Walk(const Formula& f, const tl::Analysis& analysis,
             CompiledNetwork* out) {
   // Children first: the engine updates auxiliaries bottom-up so that a
   // parent's body evaluation can consume its children's current relations.
+  const std::size_t first_descendant = out->nodes.size();
   for (std::size_t i = 0; i < f.num_children(); ++i) {
     RTIC_RETURN_IF_ERROR(Walk(f.child(i), analysis, out));
   }
@@ -47,6 +48,7 @@ Status Walk(const Formula& f, const tl::Analysis& analysis,
       }
       cn.aux_name = "aux" + std::to_string(out->nodes.size()) + "_" +
                     FormulaKindToString(f.kind());
+      cn.first_descendant = first_descendant;
       out->index[&f] = out->nodes.size();
       out->nodes.push_back(std::move(cn));
       return Status::OK();

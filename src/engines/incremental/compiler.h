@@ -31,6 +31,10 @@ struct CompiledNode {
 
   /// Human-readable aux-table name ("aux0_since", ...).
   std::string aux_name;
+
+  /// The temporal nodes inside this one's body are exactly the network
+  /// nodes [first_descendant, own index) (post-order keeps them together).
+  std::size_t first_descendant = 0;
 };
 
 /// The full network plus lookup from node address to network index.

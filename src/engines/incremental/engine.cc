@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "storage/codec.h"
@@ -13,26 +12,6 @@ namespace rtic {
 
 using tl::Formula;
 using tl::FormulaKind;
-
-namespace {
-
-// Sharing keys. Everything the per-transition result depends on besides the
-// transition stream itself must be part of the key: the registration epoch
-// (how many transitions the monitor had processed when this engine joined),
-// the pruning policy, the extra domain constants, and the canonical
-// subformula/constraint text (the printer includes interval bounds).
-std::string KeyPrefix(const IncrementalOptions& options) {
-  std::string prefix = std::to_string(options.registration_epoch) + "|" +
-                       std::to_string(static_cast<int>(options.pruning)) + "|";
-  for (const Value& v : options.extra_constants) {
-    prefix += v.ToString();
-    prefix += ",";
-  }
-  prefix += "|";
-  return prefix;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<IncrementalEngine>> IncrementalEngine::Create(
     const Formula& constraint, const tl::PredicateCatalog& catalog,
@@ -59,47 +38,15 @@ IncrementalEngine::IncrementalEngine(tl::FormulaPtr constraint,
       analysis_(std::move(analysis)),
       network_(std::move(network)),
       options_(std::move(options)) {
-  inc::SubplanRegistry* registry = options_.registry.get();
-  const std::string prefix = registry ? KeyPrefix(options_) : std::string();
-
-  states_.reserve(network_.nodes.size());
+  nodes_.resize(network_.nodes.size());
   for (std::size_t i = 0; i < network_.nodes.size(); ++i) {
-    std::shared_ptr<inc::SharedNode> node;
-    bool was_shared = false;
-    if (registry) {
-      auto handle =
-          registry->AcquireNode(prefix + "node|" + network_.nodes[i].node->ToString());
-      node = std::move(handle.node);
-      was_shared = handle.shared;
+    inc::NodeState& ns = *nodes_[i].state;
+    ns.current = Relation(network_.nodes[i].columns);
+    if (network_.nodes[i].node->kind() == FormulaKind::kPrevious) {
+      ns.prev_body = Relation(network_.nodes[i].columns);
     } else {
-      node = std::make_shared<inc::SharedNode>();
+      ConfigureNodeStore(i, &ns.anchors);
     }
-    if (!was_shared) {
-      node->st.current = Relation(network_.nodes[i].columns);
-      if (network_.nodes[i].node->kind() == FormulaKind::kPrevious) {
-        node->st.prev_body = Relation(network_.nodes[i].columns);
-      } else {
-        ConfigureNodeStore(i, &node->st.anchors);
-      }
-    } else {
-      // Store configuration is a pure function of the sharing key (the
-      // policy and interval are part of it), so the first acquirer already
-      // configured it consistently.
-      ++shared_subplans_;
-    }
-    states_.push_back(std::move(node));
-  }
-
-  if (registry) {
-    auto domain_handle = registry->AcquireDomain(prefix + "domain");
-    domain_ = std::move(domain_handle.domain);
-    auto verdict_handle =
-        registry->AcquireVerdict(prefix + "verdict|" + constraint_->ToString());
-    verdict_ = std::move(verdict_handle.verdict);
-    if (verdict_handle.shared) ++shared_subplans_;
-  } else {
-    domain_ = std::make_shared<inc::SharedDomain>();
-    verdict_ = std::make_shared<inc::SharedVerdict>();
   }
   kept_.resize(2 * network_.nodes.size() + 1);
 }
@@ -125,14 +72,14 @@ fo::EvalContext IncrementalEngine::ContextFor(const Database& state) {
   ctx.db = &state;
   ctx.analysis = &analysis_;
   ctx.extra_constants = &options_.extra_constants;
-  ctx.domain = &domain_->tracker;
+  ctx.domain = domain_.state.get();
   ctx.scratch = &scratch_;
   ctx.resolver = [this](const Formula& node) -> Result<Relation> {
     auto it = network_.index.find(&node);
     if (it == network_.index.end()) {
       return Status::Internal("temporal node missing from compiled network");
     }
-    return states_[it->second]->st.current;  // O(1): shares the row storage
+    return nodes_[it->second].state->current;  // O(1): shares the row storage
   };
   return ctx;
 }
@@ -148,9 +95,9 @@ bool IncrementalEngine::InputsUnchanged(const Kept& kept,
     }
   }
   for (const auto& [node, version] : kept.nodes) {
-    if (states_[node]->st.current_version != version) return false;
+    if (nodes_[node].state->current_version != version) return false;
   }
-  return !kept.domain || domain_->tracker.size() == kept.domain_size;
+  return !kept.domain || domain_.state->size() == kept.domain_size;
 }
 
 Result<Relation> IncrementalEngine::EvaluateKept(const Formula& f,
@@ -184,10 +131,12 @@ Result<Relation> IncrementalEngine::EvaluateKept(const Formula& f,
     const std::size_t node = network_.index.at(leaf);  // resolved above
     bool seen = false;
     for (const auto& in : kept.nodes) seen |= in.first == node;
-    if (!seen) kept.nodes.emplace_back(node, states_[node]->st.current_version);
+    if (!seen) {
+      kept.nodes.emplace_back(node, nodes_[node].state->current_version);
+    }
   }
   kept.domain = scratch_.domain_consulted;
-  kept.domain_size = domain_->tracker.size();
+  kept.domain_size = domain_.state->size();
   kept.rel = *result;
   return result;
 }
@@ -195,7 +144,7 @@ Result<Relation> IncrementalEngine::EvaluateKept(const Formula& f,
 Status IncrementalEngine::UpdateNode(std::size_t i, const Database& state,
                                      Timestamp t) {
   const inc::CompiledNode& cn = network_.nodes[i];
-  inc::NodeState& ns = states_[i]->st;
+  inc::NodeState& ns = *nodes_[i].state;
 
   switch (cn.node->kind()) {
     case FormulaKind::kPrevious: {
@@ -276,57 +225,26 @@ Result<bool> IncrementalEngine::OnTransition(const Database& state,
         " after " + std::to_string(prev_time_));
   }
   scratch_.BeginUpdate();
-  // Lockstep sharing: every engine in the monitor processes the same
-  // transitions in the same order, so "who is first to k+1" elects the
-  // leader for each shared object; everyone else reuses the published
-  // result. Lock passage makes the leader's writes visible. (If a leader's
-  // evaluation errored mid-update, sharers could observe a partial state —
-  // unreachable in practice because registration validates constraints and
-  // the monitor checks timestamp monotonicity before fan-out; see
-  // subplan_registry.h.)
-  const std::uint64_t target = transitions_ + 1;
-
-  {
-    std::lock_guard<std::mutex> lock(domain_->mu);
-    if (domain_->absorbed_transitions < target) {
-      domain_->tracker.Absorb(state);
-      domain_->absorbed_transitions = target;
-    }
-  }
-
+  // Only the objects this engine writes are updated here. Every object it
+  // reads has a writer registered earlier, which the monitor checks first
+  // (see subplan_dag.h), so those are already at this transition.
+  if (domain_.writer) domain_.state->Absorb(state);
   for (std::size_t i = 0; i < network_.nodes.size(); ++i) {
-    inc::SharedNode& node = *states_[i];
-    std::lock_guard<std::mutex> lock(node.mu);
-    if (node.applied_transitions < target) {
-      RTIC_RETURN_IF_ERROR(UpdateNode(i, state, t));
-      node.applied_transitions = target;
-    }
+    if (nodes_[i].writer) RTIC_RETURN_IF_ERROR(UpdateNode(i, state, t));
   }
-
-  bool holds;
-  {
-    inc::SharedVerdict& v = *verdict_;
-    std::lock_guard<std::mutex> lock(v.mu);
-    if (v.verdict_transitions < target) {
-      Result<Relation> verdict =
-          EvaluateKept(*constraint_, kept_.size() - 1, state);
-      if (verdict.ok()) {
-        v.status = Status::OK();
-        v.holds = verdict->AsBool();
-      } else {
-        v.status = verdict.status();
-        v.holds = false;
-      }
-      v.verdict_transitions = target;
-    }
-    if (!v.status.ok()) return v.status;
-    holds = v.holds;
+  inc::Verdict& v = *verdict_.state;
+  if (verdict_.writer) {
+    Result<Relation> verdict =
+        EvaluateKept(*constraint_, kept_.size() - 1, state);
+    v.status = verdict.status();
+    v.holds = verdict.ok() && verdict->AsBool();
+    v.cex_current = false;
   }
+  if (!v.status.ok()) return v.status;
 
   has_prev_ = true;
   prev_time_ = t;
-  transitions_ = target;
-  return holds;
+  return v.holds;
 }
 
 Result<Relation> IncrementalEngine::CurrentCounterexamples(
@@ -334,19 +252,17 @@ Result<Relation> IncrementalEngine::CurrentCounterexamples(
   if (!has_prev_) {
     return Status::FailedPrecondition("no transitions processed yet");
   }
-  inc::SharedVerdict& v = *verdict_;
-  std::lock_guard<std::mutex> lock(v.mu);
-  if (v.cex_transitions < transitions_) {
+  inc::Verdict& v = *verdict_.state;
+  if (!v.cex_current) {
     Result<Relation> cex =
         fo::ComputeCounterexamples(*constraint_, ContextFor(state));
-    if (cex.ok()) {
-      v.cex_status = Status::OK();
-      v.cex = std::move(cex).value();
-    } else {
-      v.cex_status = cex.status();
-      v.cex = Relation();
-    }
-    v.cex_transitions = transitions_;
+    // Readers never write a shared verdict. (A monitor checks the writer
+    // first, and it asks for counterexamples whenever the verdict fails,
+    // so readers find them computed.)
+    if (!verdict_.writer) return cex;
+    v.cex_status = cex.status();
+    v.cex = cex.ok() ? std::move(cex).value() : Relation();
+    v.cex_current = true;
   }
   if (!v.cex_status.ok()) return v.cex_status;
   return v.cex;  // O(1): shares the row storage
@@ -356,7 +272,7 @@ std::size_t IncrementalEngine::StorageRows() const {
   std::size_t n = AuxTimestampCount();
   for (std::size_t i = 0; i < network_.nodes.size(); ++i) {
     if (network_.nodes[i].node->kind() == FormulaKind::kPrevious) {
-      n += states_[i]->st.prev_body.size();
+      n += nodes_[i].state->prev_body.size();
     }
   }
   return n;
@@ -365,38 +281,14 @@ std::size_t IncrementalEngine::StorageRows() const {
 std::size_t IncrementalEngine::AuxTimestampCount() const {
   // O(nodes): the stores maintain their counts.
   std::size_t n = 0;
-  for (const auto& node : states_) n += node->st.anchors.timestamps();
+  for (const auto& node : nodes_) n += node.state->anchors.timestamps();
   return n;
 }
 
 std::size_t IncrementalEngine::AuxValuationCount() const {
   std::size_t n = 0;
-  for (const auto& node : states_) n += node->st.anchors.valuations();
+  for (const auto& node : nodes_) n += node.state->anchors.valuations();
   return n;
-}
-
-void IncrementalEngine::DetachSharedState() {
-  // Fresh private wrappers with a copy of the current content; the
-  // registry's weak entries expire once the other sharers release theirs.
-  // The restored engine simply no longer shares (re-coalescing would
-  // require proving its state equals the live sharers', which a restore
-  // cannot).
-  std::vector<std::shared_ptr<inc::SharedNode>> fresh;
-  fresh.reserve(states_.size());
-  for (const auto& node : states_) {
-    auto copy = std::make_shared<inc::SharedNode>();
-    copy->st = node->st;
-    fresh.push_back(std::move(copy));
-  }
-  states_ = std::move(fresh);
-  auto domain = std::make_shared<inc::SharedDomain>();
-  domain->tracker = domain_->tracker;
-  domain_ = std::move(domain);
-  verdict_ = std::make_shared<inc::SharedVerdict>();
-  transitions_ = 0;
-  shared_subplans_ = 0;
-  scratch_.InvalidateDomain();
-  for (Kept& kept : kept_) kept = Kept();
 }
 
 namespace {
@@ -429,13 +321,13 @@ Result<std::string> IncrementalEngine::SaveState() const {
   w.WriteInt(has_prev_ ? 1 : 0);
   w.WriteInt(prev_time_);
 
-  std::vector<Value> domain_values = domain_->tracker.AllValues();
+  std::vector<Value> domain_values = domain_.state->AllValues();
   w.WriteSize(domain_values.size());
   for (const Value& v : domain_values) w.WriteValue(v);
 
-  w.WriteSize(states_.size());
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const inc::NodeState& ns = states_[i]->st;
+  w.WriteSize(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const inc::NodeState& ns = *nodes_[i].state;
     w.WriteSize(i);
     WriteRows(&w, ns.current);
     WriteRows(&w, ns.prev_body);
@@ -447,7 +339,8 @@ Result<std::string> IncrementalEngine::SaveState() const {
   return w.str();
 }
 
-Status IncrementalEngine::LoadState(const std::string& data) {
+Result<IncrementalEngine::Staged> IncrementalEngine::ParseState(
+    std::string_view data) const {
   StateReader r(data);
   RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
   if (magic != kCheckpointMagic) {
@@ -459,57 +352,69 @@ Status IncrementalEngine::LoadState(const std::string& data) {
         "checkpoint was produced for a different constraint: " +
         constraint_text);
   }
+  Staged staged;
+  std::size_t begin = r.position();
   RTIC_ASSIGN_OR_RETURN(std::int64_t has_prev, r.ReadInt());
-  RTIC_ASSIGN_OR_RETURN(Timestamp prev_time, r.ReadInt());
+  RTIC_ASSIGN_OR_RETURN(staged.prev_time, r.ReadInt());
+  staged.has_prev = has_prev != 0;
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t domain_count, r.ReadInt());
-  DomainTracker domain;
   std::vector<Value> domain_values;
   for (std::int64_t i = 0; i < domain_count; ++i) {
     RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());
     domain_values.push_back(std::move(v));
   }
-  domain.AbsorbValues(domain_values);
+  staged.domain.AbsorbValues(domain_values);
+  staged.domain_bytes = data.substr(begin, r.position() - begin);
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t node_count, r.ReadInt());
   if (node_count != static_cast<std::int64_t>(network_.nodes.size())) {
     return Status::InvalidArgument("checkpoint node count mismatch");
   }
-  std::vector<inc::NodeState> restored(states_.size());
+  staged.nodes.resize(network_.nodes.size());
   for (std::int64_t n = 0; n < node_count; ++n) {
     RTIC_ASSIGN_OR_RETURN(std::int64_t idx, r.ReadInt());
     if (idx != n) return Status::InvalidArgument("checkpoint node order");
     const inc::CompiledNode& cn = network_.nodes[static_cast<std::size_t>(n)];
-    inc::NodeState& ns = restored[static_cast<std::size_t>(n)];
+    inc::NodeState& ns = staged.nodes[static_cast<std::size_t>(n)];
 
+    begin = r.position();
     ns.current = Relation(cn.columns);
     RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &ns.current));
     ns.prev_body = Relation(cn.columns);
     RTIC_RETURN_IF_ERROR(ReadRowsInto(&r, &ns.prev_body));
     ConfigureNodeStore(static_cast<std::size_t>(n), &ns.anchors);
     RTIC_RETURN_IF_ERROR(ns.anchors.DecodeReplace(&r));
+    staged.node_bytes.push_back(data.substr(begin, r.position() - begin));
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in checkpoint");
   }
+  return staged;
+}
 
-  // Install into fresh private state: the sharing protocol assumes an
-  // uninterrupted lockstep history, which a restore breaks.
-  DetachSharedState();
-  for (std::size_t n = 0; n < restored.size(); ++n) {
-    states_[n]->st = std::move(restored[n]);
+void IncrementalEngine::InstallState(Staged staged) {
+  if (domain_.writer) *domain_.state = std::move(staged.domain);
+  has_prev_ = staged.has_prev;
+  prev_time_ = staged.prev_time;
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    if (!nodes_[n].writer) continue;
+    inc::NodeState& ns = *nodes_[n].state;
+    ns = std::move(staged.nodes[n]);
+    // The checkpointed tables are canonical at prev_time_ (the saver pruned
+    // them there), so rebuilding membership flags and wheel deadlines at
+    // the same instant reproduces the saver's derived state exactly.
+    ns.anchors.Rehydrate(prev_time_, ns.current);
   }
-  domain_->tracker = std::move(domain);
-  has_prev_ = has_prev != 0;
-  prev_time_ = prev_time;
-  // The checkpointed tables are canonical at prev_time_ (the saver pruned
-  // them there), so rebuilding membership flags and wheel deadlines at the
-  // same instant reproduces the saver's derived state exactly.
-  for (const auto& node : states_) {
-    node->st.anchors.Rehydrate(prev_time_, node->st.current);
-  }
+  if (verdict_.writer) *verdict_.state = inc::Verdict();
   scratch_.InvalidateDomain();
+  for (Kept& kept : kept_) kept = Kept();
   MarkStateSaved();  // the restored state is the new delta baseline
+}
+
+Status IncrementalEngine::LoadState(const std::string& data) {
+  RTIC_ASSIGN_OR_RETURN(Staged staged, ParseState(data));
+  InstallState(std::move(staged));
   return Status::OK();
 }
 
@@ -518,9 +423,9 @@ bool IncrementalEngine::StateDirty() const {
   if (has_prev_ != saved_has_prev_ || prev_time_ != saved_prev_time_) {
     return true;
   }
-  if (domain_->tracker.additions().size() != domain_saved_count_) return true;
-  for (const auto& node : states_) {
-    const inc::NodeState& ns = node->st;
+  if (domain_.state->additions().size() != domain_saved_count_) return true;
+  for (const auto& node : nodes_) {
+    const inc::NodeState& ns = *node.state;
     if (ns.current_dirty || ns.prev_body_dirty || ns.anchors_dirty) {
       return true;
     }
@@ -532,21 +437,21 @@ void IncrementalEngine::BeginDeltaTracking() {
   if (delta_tracking_) return;
   delta_tracking_ = true;
   // No baseline exists yet: everything is dirty until the first save.
-  for (const auto& node : states_) {
-    node->st.current_dirty = true;
-    node->st.prev_body_dirty = true;
-    node->st.anchors_dirty = true;
+  for (const auto& node : nodes_) {
+    node.state->current_dirty = true;
+    node.state->prev_body_dirty = true;
+    node.state->anchors_dirty = true;
   }
   domain_saved_count_ = 0;
 }
 
 void IncrementalEngine::MarkStateSaved() {
-  for (const auto& node : states_) {
-    node->st.current_dirty = false;
-    node->st.prev_body_dirty = false;
-    node->st.anchors_dirty = false;
+  for (const auto& node : nodes_) {
+    node.state->current_dirty = false;
+    node.state->prev_body_dirty = false;
+    node.state->anchors_dirty = false;
   }
-  domain_saved_count_ = domain_->tracker.additions().size();
+  domain_saved_count_ = domain_.state->additions().size();
   saved_has_prev_ = has_prev_;
   saved_prev_time_ = prev_time_;
 }
@@ -565,24 +470,24 @@ Result<std::string> IncrementalEngine::SaveStateDelta() const {
   // Domain values absorbed since the last save, in first-absorption order.
   // The parent's domain size is included so a delta applied to the wrong
   // parent state is rejected instead of silently diverging.
-  const std::vector<Value>& additions = domain_->tracker.additions();
+  const std::vector<Value>& additions = domain_.state->additions();
   w.WriteSize(domain_saved_count_);
   w.WriteSize(additions.size() - domain_saved_count_);
   for (std::size_t i = domain_saved_count_; i < additions.size(); ++i) {
     w.WriteValue(additions[i]);
   }
 
-  w.WriteSize(states_.size());
+  w.WriteSize(nodes_.size());
   std::size_t dirty_nodes = 0;
-  for (const auto& node : states_) {
-    const inc::NodeState& ns = node->st;
+  for (const auto& node : nodes_) {
+    const inc::NodeState& ns = *node.state;
     if (ns.current_dirty || ns.prev_body_dirty || ns.anchors_dirty) {
       ++dirty_nodes;
     }
   }
   w.WriteSize(dirty_nodes);
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const inc::NodeState& ns = states_[i]->st;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const inc::NodeState& ns = *nodes_[i].state;
     const std::int64_t flags = (ns.current_dirty ? 1 : 0) |
                                (ns.prev_body_dirty ? 2 : 0) |
                                (ns.anchors_dirty ? 4 : 0);
@@ -612,14 +517,16 @@ Status IncrementalEngine::LoadStateDelta(const std::string& data) {
   RTIC_ASSIGN_OR_RETURN(Timestamp prev_time, r.ReadInt());
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t domain_before, r.ReadInt());
-  if (domain_before !=
-      static_cast<std::int64_t>(domain_->tracker.additions().size())) {
+  RTIC_ASSIGN_OR_RETURN(std::int64_t domain_added, r.ReadInt());
+  // A reader of the domain finds its writer's (identical) delta applied.
+  const std::int64_t domain_now =
+      static_cast<std::int64_t>(domain_.state->additions().size());
+  if (domain_before + (domain_.writer ? 0 : domain_added) != domain_now) {
     return Status::FailedPrecondition(
         "delta checkpoint chains to a different parent state (domain size " +
-        std::to_string(domain_before) + " vs " +
-        std::to_string(domain_->tracker.additions().size()) + ")");
+        std::to_string(domain_before) + " vs " + std::to_string(domain_now) +
+        ")");
   }
-  RTIC_ASSIGN_OR_RETURN(std::int64_t domain_added, r.ReadInt());
   std::vector<Value> added_values;
   for (std::int64_t i = 0; i < domain_added; ++i) {
     RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());
@@ -635,7 +542,7 @@ Status IncrementalEngine::LoadStateDelta(const std::string& data) {
     return Status::InvalidArgument("delta checkpoint entry count");
   }
 
-  // Parse every entry into staging state before touching states_, so a
+  // Parse every entry into staging state before touching nodes_, so a
   // malformed delta leaves the engine at the parent state instead of
   // half-applied.
   struct Entry {
@@ -678,12 +585,13 @@ Status IncrementalEngine::LoadStateDelta(const std::string& data) {
     return Status::InvalidArgument("trailing bytes in delta checkpoint");
   }
 
-  // Detach before applying: a delta is not idempotent, and other sharers
-  // still read the shared relations it would overwrite.
-  DetachSharedState();
-  domain_->tracker.AbsorbValues(added_values);
+  // Apply to the objects this engine writes; a delta is not idempotent, so
+  // the ones it reads are left to their writers.
+  if (domain_.writer) domain_.state->AbsorbValues(added_values);
+  std::erase_if(entries,
+                [this](const Entry& e) { return !nodes_[e.idx].writer; });
   for (Entry& e : entries) {
-    inc::NodeState& ns = states_[e.idx]->st;
+    inc::NodeState& ns = *nodes_[e.idx].state;
     if (e.flags & 1) {
       ns.current = std::move(e.current);
       ++ns.current_version;
@@ -700,13 +608,15 @@ Status IncrementalEngine::LoadStateDelta(const std::string& data) {
   // describe its pending prune events — and only refreshes its membership
   // flags against the new relation. Untouched nodes change nothing.
   for (const Entry& e : entries) {
-    inc::NodeState& ns = states_[e.idx]->st;
+    inc::NodeState& ns = *nodes_[e.idx].state;
     if (e.flags & 4) {
       ns.anchors.Rehydrate(prev_time_, ns.current);
     } else if (e.flags & 1) {
       ns.anchors.ResetMembership(ns.current);
     }
   }
+  scratch_.InvalidateDomain();
+  for (Kept& kept : kept_) kept = Kept();
   MarkStateSaved();  // the chained state is the new delta baseline
   return Status::OK();
 }

@@ -27,27 +27,28 @@
 // as always. Clock ticks and updates to unrelated tables thus cost a key
 // check per evaluation.
 //
-// When an IncrementalOptions::registry is supplied, the per-node state, the
-// domain tracker, and the whole-constraint verdict are interned by
-// canonical text (plus registration epoch / pruning / extra constants), so
-// engines whose constraints contain identical temporal subplans evaluate
-// each equivalence class once per transition and share the result. Verdicts
-// and checkpoints are byte-identical to the unshared path.
+// A standalone engine (Create) owns all of that state. Inside a monitor,
+// engines are linked into an inc::SubplanDag (subplan_dag.h), which gives
+// identical temporal nodes, identical verdicts and the domain tracker one
+// shared object each, written by one engine and read by the others.
+// Verdicts and checkpoints are the same either way.
 
 #ifndef RTIC_ENGINES_INCREMENTAL_ENGINE_H_
 #define RTIC_ENGINES_INCREMENTAL_ENGINE_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "engines/checker_engine.h"
+#include "engines/incremental/anchor_store.h"
 #include "engines/incremental/compiler.h"
 #include "engines/incremental/pruning.h"
-#include "engines/incremental/subplan_registry.h"
 #include "fo/eval.h"
+#include "ra/relation.h"
+#include "storage/domain_tracker.h"
 #include "tl/analyzer.h"
 #include "tl/ast.h"
 
@@ -60,16 +61,42 @@ struct IncrementalOptions {
 
   /// Extra constants contributing to every state's active domain.
   std::vector<Value> extra_constants;
-
-  /// When set, temporal-node state, domain tracking, and the constraint
-  /// verdict are interned here and shared with engines whose subplans
-  /// canonicalize to identical text at the same registration epoch.
-  std::shared_ptr<inc::SubplanRegistry> registry;
-
-  /// The monitor's transition count at registration time; part of every
-  /// sharing key, so only engines with coinciding state histories share.
-  std::uint64_t registration_epoch = 0;
 };
+
+namespace inc {
+
+class SubplanDag;
+
+/// Mutable runtime state of one temporal node (parallel to the compiled
+/// network). See IncrementalEngine for the encoding per operator kind.
+struct NodeState {
+  Relation current;     // satisfaction at the current state
+  Relation prev_body;   // previous-state body satisfaction (kPrevious)
+  AnchorStore anchors;  // columnar anchor table (kOnce / kSince)
+  /// Bumped whenever `current`'s content changes (exact for once/since,
+  /// where publication is delta-driven; for previous nodes, bumped unless
+  /// the new relation shares the old one's row storage). Kept results of
+  /// evaluations that resolved this node are keyed by it (see
+  /// IncrementalEngine::EvaluateKept).
+  std::uint64_t current_version = 0;
+  // Dirty-since-MarkStateSaved bits; set by mutation, cleared by
+  // MarkStateSaved.
+  bool current_dirty = false;
+  bool prev_body_dirty = false;
+  bool anchors_dirty = false;
+};
+
+/// A whole constraint's verdict at the latest transition, and its
+/// counterexamples once someone asked for them.
+struct Verdict {
+  Status status;
+  bool holds = false;
+  bool cex_current = false;  // `cex_status`/`cex` belong to this transition
+  Status cex_status;
+  Relation cex;
+};
+
+}  // namespace inc
 
 /// Bounded-history-encoding checker.
 class IncrementalEngine : public CheckerEngine {
@@ -85,10 +112,14 @@ class IncrementalEngine : public CheckerEngine {
   std::size_t StorageRows() const override;
   const char* name() const override { return "incremental"; }
 
-  /// How many shared-subplan handles (temporal nodes + verdict) this engine
-  /// coalesced with previously registered engines. 0 when sharing is off or
-  /// after a checkpoint restore detaches the engine.
+  /// How many handles (temporal nodes + verdict) this engine coalesced with
+  /// earlier ones when its SubplanDag added it, less any a restore split
+  /// off again. 0 for a standalone engine.
   std::size_t SharedSubplans() const override { return shared_subplans_; }
+
+  /// True when another engine of this engine's SubplanDag reads an object
+  /// this engine writes, so this engine must be checked before it.
+  bool HasReaders() const { return has_readers_; }
 
   /// Total anchor timestamps retained across all aux tables (space metric
   /// for E2/E6; StorageRows also counts previous-node relations). O(nodes):
@@ -109,14 +140,14 @@ class IncrementalEngine : public CheckerEngine {
   /// the encoding is bounded, the checkpoint is small regardless of how
   /// much history has been processed; together with the constraint text it
   /// is everything needed to resume monitoring after a restart, with no
-  /// history replay. Shared state serializes exactly as if owned.
+  /// history replay. Shared objects serialize exactly as if owned.
   Result<std::string> SaveState() const override;
 
   /// Restores a SaveState() checkpoint into an engine compiled from the
   /// SAME constraint (validated against the checkpoint). Replaces all
   /// current state; subsequent verdicts are identical to an uninterrupted
-  /// run. Restoring detaches the engine from any shared-subplan state (the
-  /// sharing protocol assumes an uninterrupted lockstep history).
+  /// run. Installs only the objects this engine writes; a monitor restores
+  /// its linked engines together through SubplanDag::LoadState.
   Status LoadState(const std::string& data) override;
 
   // Delta checkpoints (see checker_engine.h for the protocol). Dirty
@@ -127,9 +158,9 @@ class IncrementalEngine : public CheckerEngine {
   // actually changed since the last MarkStateSaved(), plus the domain
   // values absorbed since then. SaveStateDelta() still refuses before
   // BeginDeltaTracking(): without a baseline there is nothing to delta
-  // against. LoadStateDelta also detaches from shared state first: a delta
-  // is not idempotent, so it must never apply to relations other sharers
-  // still read.
+  // against. LoadStateDelta, too, applies only to the objects this engine
+  // writes: a reader's delta repeats its writer's, which the monitor
+  // applies first (registration order).
   bool StateDirty() const override;
   bool SupportsStateDelta() const override { return true; }
   void BeginDeltaTracking() override;
@@ -174,23 +205,43 @@ class IncrementalEngine : public CheckerEngine {
   /// anchor store (a fresh node's, or one staged from a checkpoint).
   void ConfigureNodeStore(std::size_t i, inc::AnchorStore* store) const;
 
-  /// Replaces all shared handles with fresh private copies of the current
-  /// content (checkpoint restore breaks the lockstep sharing invariant),
-  /// and drops every kept result: restored node versions restart at zero.
-  void DetachSharedState();
+  /// A SaveState() blob, parsed and validated but not yet installed.
+  struct Staged {
+    bool has_prev = false;
+    Timestamp prev_time = 0;
+    DomainTracker domain;
+    std::vector<inc::NodeState> nodes;
+    // The blob's bytes for the clock and domain, and for each node (index
+    // token excluded), which SubplanDag::LoadState compares across engines.
+    std::string_view domain_bytes;
+    std::vector<std::string_view> node_bytes;
+  };
+  Result<Staged> ParseState(std::string_view data) const;
+
+  /// Installs `staged` into the objects this engine writes (its readers'
+  /// copies are installed by their writers), and drops every kept result:
+  /// restored node versions restart at zero.
+  void InstallState(Staged staged);
+
+  friend class inc::SubplanDag;
+
+  /// An object this engine uses, possibly shared through a SubplanDag, and
+  /// whether this engine is the one that writes it.
+  template <typename T>
+  struct Slot {
+    std::shared_ptr<T> state = std::make_shared<T>();
+    bool writer = true;
+  };
 
   tl::FormulaPtr constraint_;
   tl::Analysis analysis_;
   inc::CompiledNetwork network_;
   IncrementalOptions options_;
-  // Per-node state, possibly shared with other engines; parallel to
-  // network_.nodes. Private engines still use the shared wrappers (with
-  // use-count 1) so the transition path is uniform.
-  std::vector<std::shared_ptr<inc::SharedNode>> states_;
-  std::shared_ptr<inc::SharedDomain> domain_;
-  std::shared_ptr<inc::SharedVerdict> verdict_;
-  std::uint64_t transitions_ = 0;  // lockstep counter (see subplan_registry.h)
+  std::vector<Slot<inc::NodeState>> nodes_;  // parallel to network_.nodes
+  Slot<DomainTracker> domain_;
+  Slot<inc::Verdict> verdict_;
   std::size_t shared_subplans_ = 0;
+  bool has_readers_ = false;
   fo::EvalScratch scratch_;
   std::vector<Kept> kept_;  // per evaluation site (see EvaluateKept)
   bool has_prev_ = false;

@@ -19,26 +19,4 @@ std::size_t HistoryLog::TotalStoredRows() const {
   return n;
 }
 
-Status DeltaLog::Append(UpdateBatch batch) {
-  if (!batches_.empty() && batch.timestamp() <= batches_.back().timestamp()) {
-    return Status::InvalidArgument(
-        "batch timestamps must be strictly increasing");
-  }
-  batches_.push_back(std::move(batch));
-  return Status::OK();
-}
-
-Result<Database> DeltaLog::Materialize(std::size_t i) const {
-  if (i >= batches_.size()) {
-    return Status::OutOfRange("no transition " + std::to_string(i) +
-                              " in a delta log of size " +
-                              std::to_string(batches_.size()));
-  }
-  Database db = initial_;
-  for (std::size_t k = 0; k <= i; ++k) {
-    RTIC_RETURN_IF_ERROR(batches_[k].Apply(&db));
-  }
-  return db;
-}
-
 }  // namespace rtic

@@ -3,9 +3,6 @@
 // HistoryLog keeps a *full snapshot* of every state — exactly the storage
 // profile of the naive (non-bounded) checking approach the paper argues
 // against; its memory accounting is what experiment E2 measures.
-//
-// DeltaLog keeps the initial state plus the update batches and can
-// re-materialize any state by replay (used by tests and workload tooling).
 
 #ifndef RTIC_HISTORY_HISTORY_H_
 #define RTIC_HISTORY_HISTORY_H_
@@ -15,7 +12,6 @@
 #include "common/interval.h"
 #include "common/result.h"
 #include "storage/database.h"
-#include "storage/update_batch.h"
 
 namespace rtic {
 
@@ -43,30 +39,6 @@ class HistoryLog {
  private:
   std::vector<Database> states_;
   std::vector<Timestamp> times_;
-};
-
-/// Initial state plus the batches that evolve it; states re-materialized on
-/// demand by replay.
-class DeltaLog {
- public:
-  explicit DeltaLog(Database initial) : initial_(std::move(initial)) {}
-
-  /// Appends a batch. Timestamps must be strictly increasing.
-  Status Append(UpdateBatch batch);
-
-  /// Number of recorded transitions (states = transitions; the initial
-  /// database is the pre-history state, not a monitored state).
-  std::size_t size() const { return batches_.size(); }
-
-  const UpdateBatch& BatchAt(std::size_t i) const { return batches_[i]; }
-  const Database& initial() const { return initial_; }
-
-  /// The state after applying batches [0..i]. Requires i < size().
-  Result<Database> Materialize(std::size_t i) const;
-
- private:
-  Database initial_;
-  std::vector<UpdateBatch> batches_;
 };
 
 }  // namespace rtic

@@ -67,6 +67,7 @@ struct ConstraintMonitor::Registered {
   tl::FormulaPtr formula;
   std::vector<std::string> warnings;
   std::unique_ptr<CheckerEngine> engine;
+  IncrementalEngine* incremental = nullptr;  // `engine`, when linked in dag_
   std::size_t transitions = 0;
   std::size_t violations = 0;
   std::int64_t total_check_micros = 0;
@@ -158,17 +159,13 @@ Status ConstraintMonitor::RegisterConstraintFormula(
       IncrementalOptions opts;
       opts.pruning = options_.pruning;
       opts.extra_constants = options_.domain_constants;
-      if (options_.shared_subplans) {
-        if (subplan_registry_ == nullptr) {
-          subplan_registry_ = std::make_shared<inc::SubplanRegistry>();
-        }
-        opts.registry = subplan_registry_;
-        // Only engines registered at the same transition count have seen
-        // the same history, so the epoch is part of every sharing key.
-        opts.registration_epoch = transition_count_;
-      }
-      RTIC_ASSIGN_OR_RETURN(
-          reg->engine, IncrementalEngine::Create(formula, catalog, opts));
+      RTIC_ASSIGN_OR_RETURN(std::unique_ptr<IncrementalEngine> engine,
+                            IncrementalEngine::Create(formula, catalog, opts));
+      // Only engines registered at the same transition count have seen the
+      // same history, so only they can share subplans.
+      dag_.Add(engine.get(), transition_count_);
+      reg->incremental = engine.get();
+      reg->engine = std::move(engine);
       break;
     }
     case EngineKind::kNaive: {
@@ -213,6 +210,7 @@ Status ConstraintMonitor::RegisterConstraintEngine(
 Status ConstraintMonitor::UnregisterConstraint(const std::string& name) {
   for (auto it = constraints_.begin(); it != constraints_.end(); ++it) {
     if ((*it)->name == name) {
+      if ((*it)->incremental != nullptr) dag_.Remove((*it)->incremental);
       constraints_.erase(it);
       return Status::OK();
     }
@@ -403,9 +401,21 @@ Result<std::vector<Violation>> ConstraintMonitor::ApplyUpdate(
   // is surfaced by the merge below.
   std::vector<CheckOutcome> outcomes(constraints_.size());
   if (pool_ && constraints_.size() > 1) {
-    pool_->ParallelFor(constraints_.size(), [this, &outcomes](
-                                                std::size_t i) {
-      CheckConstraint(i, &outcomes[i]);
+    // Engines whose shared subplans other engines read go first, serially
+    // in registration order (a topological order of dag_); the rest only
+    // read what those wrote and fan out.
+    std::vector<std::size_t> fan_out;
+    for (std::size_t i = 0; i < constraints_.size(); ++i) {
+      const IncrementalEngine* inc = constraints_[i]->incremental;
+      if (inc != nullptr && inc->HasReaders()) {
+        CheckConstraint(i, &outcomes[i]);
+      } else {
+        fan_out.push_back(i);
+      }
+    }
+    pool_->ParallelFor(fan_out.size(), [this, &outcomes,
+                                        &fan_out](std::size_t k) {
+      CheckConstraint(fan_out[k], &outcomes[fan_out[k]]);
     });
   } else {
     for (std::size_t i = 0; i < constraints_.size(); ++i) {
@@ -722,12 +732,21 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
   }
 
   // Validation done; apply engine states (these validate constraint texts
-  // themselves) and only then commit the monitor-level fields. Counters
-  // resume from the checkpoint; timing stats restart (they are wall-clock
-  // measurements of this process, not monitor state).
+  // themselves; dag_ restores its engines together) and only then commit
+  // the monitor-level fields. Counters resume from the checkpoint; timing
+  // stats restart (they are wall-clock measurements of this process, not
+  // monitor state).
+  std::vector<const std::string*> linked_states;
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    RTIC_RETURN_IF_ERROR(
-        constraints_[i]->engine->LoadState(engine_states[i]));
+    if (constraints_[i]->incremental != nullptr) {
+      linked_states.push_back(&engine_states[i]);
+    } else {
+      RTIC_RETURN_IF_ERROR(
+          constraints_[i]->engine->LoadState(engine_states[i]));
+    }
+  }
+  RTIC_RETURN_IF_ERROR(dag_.LoadState(linked_states));
+  for (std::size_t i = 0; i < constraints_.size(); ++i) {
     constraints_[i]->transitions =
         static_cast<std::size_t>(counters[i].first);
     constraints_[i]->violations =

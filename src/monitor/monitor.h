@@ -29,6 +29,7 @@
 #include "common/thread_pool.h"
 #include "engines/checker_engine.h"
 #include "engines/incremental/pruning.h"
+#include "engines/incremental/subplan_dag.h"
 #include "monitor/monitor_iface.h"
 #include "storage/update_batch.h"
 #include "tl/analyzer.h"
@@ -41,10 +42,6 @@ namespace replication {
 class SegmentShipper;
 class Transport;
 }  // namespace replication
-
-namespace inc {
-class SubplanRegistry;
-}  // namespace inc
 
 /// Which checking strategy newly registered constraints use.
 enum class EngineKind {
@@ -67,23 +64,18 @@ struct MonitorOptions {
   /// constraint must quantify over values not yet stored anywhere).
   std::vector<Value> domain_constants;
 
-  /// Share temporal-subplan state across incremental engines whose
-  /// subformulas canonicalize to identical text (and whose histories
-  /// coincide — same registration epoch). Each shared equivalence class is
-  /// evaluated once per transition; verdicts and checkpoints are
-  /// byte-identical to the unshared path (see inc::SubplanRegistry).
-  bool shared_subplans = true;
-
   /// Maximum counterexample rows reported per violation.
   std::size_t max_witnesses = 10;
 
   /// Threads used to check constraints per transition. 1 (the default)
   /// keeps the serial path: constraints are checked one after another on
   /// the calling thread. Values > 1 fan the registered constraints out
-  /// across a fixed-size pool; each checker engine is still driven by
-  /// exactly one thread per transition, the database snapshot is shared
-  /// read-only, and violation reports are merged back in registration
-  /// order, so results are identical to the serial path.
+  /// across a fixed-size pool, after first checking, serially, the
+  /// constraints whose shared subplans others read (inc::SubplanDag); each
+  /// checker engine is still driven by exactly one thread per transition,
+  /// the database snapshot is shared read-only, and violation reports are
+  /// merged back in registration order, so results are identical to the
+  /// serial path.
   std::size_t num_threads = 1;
 
   /// Durability. Empty (the default) keeps the purely in-memory monitor —
@@ -324,9 +316,8 @@ class ConstraintMonitor : public MonitorLike {
   std::size_t transition_count_ = 0;
   std::size_t total_violations_ = 0;
   std::vector<std::unique_ptr<Registered>> constraints_;
-  // Cross-constraint subplan sharing (non-null iff options_.shared_subplans
-  // and the engine kind is incremental).
-  std::shared_ptr<inc::SubplanRegistry> subplan_registry_;
+  // Links the incremental engines, so each shared subplan is kept once.
+  inc::SubplanDag dag_;
   std::unique_ptr<ThreadPool> pool_;  // non-null iff num_threads > 1
   std::unique_ptr<wal::RecoveryManager> recovery_;  // non-null once durable
   bool recovering_ = false;  // Recover() is replaying through ApplyUpdate

@@ -54,6 +54,9 @@ class StateReader {
   /// True when all tokens are consumed.
   bool AtEnd();
 
+  /// Offset just past the last token read.
+  std::size_t position() const { return pos_; }
+
  private:
   void SkipSpace();
   Result<std::string> NextToken();

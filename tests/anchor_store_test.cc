@@ -16,8 +16,9 @@
 //     WriteAnchors map encoding;
 //   * a store rebuilt through DecodeReplace + Rehydrate must continue
 //     evolving exactly like the original (the wheel is derived state);
-//   * engine-level: shared-subplan leaders/followers and a shadow engine
-//     maintained purely through delta checkpoints stay byte-identical.
+//   * engine-level: engines linked through a SubplanDag (a writer and a
+//     reader of the same stores) and a shadow engine maintained purely
+//     through delta checkpoints stay byte-identical.
 
 #include "engines/incremental/anchor_store.h"
 
@@ -34,7 +35,7 @@
 #include "common/rng.h"
 #include "engines/incremental/engine.h"
 #include "engines/incremental/pruning.h"
-#include "engines/incremental/subplan_registry.h"
+#include "engines/incremental/subplan_dag.h"
 #include "ra/relation.h"
 #include "storage/codec.h"
 #include "tests/engine_test_util.h"
@@ -416,22 +417,21 @@ Database RandomPQState(Rng* rng, double p) {
   return db;
 }
 
-// Shared-subplan leaders and followers must stay verdict- and
-// checkpoint-byte-identical to an unshared engine; followers reuse the
-// leader's columnar stores instead of maintaining their own.
+// Engines linked through a SubplanDag must stay verdict- and
+// checkpoint-byte-identical to a standalone engine; the reader reuses the
+// writer's columnar stores instead of maintaining its own.
 TEST(AnchorStoreEngineTest, SharedSubplansStayByteIdenticalToUnshared) {
   const std::string text = "forall a: P(a) implies P(a) since[1, 6] Q(a)";
   tl::PredicateCatalog catalog = PQRCatalog();
   tl::FormulaPtr formula = Unwrap(tl::ParseFormula(text));
 
-  auto registry = std::make_shared<inc::SubplanRegistry>();
-  IncrementalOptions shared_opts;
-  shared_opts.registry = registry;
-  auto leader = Unwrap(IncrementalEngine::Create(*formula, catalog,
-                                                 shared_opts));
-  auto follower = Unwrap(IncrementalEngine::Create(*formula, catalog,
-                                                   shared_opts));
-  ASSERT_GT(follower->SharedSubplans(), 0u);
+  auto writer = Unwrap(IncrementalEngine::Create(*formula, catalog));
+  auto reader = Unwrap(IncrementalEngine::Create(*formula, catalog));
+  inc::SubplanDag dag;
+  dag.Add(writer.get(), 0);
+  dag.Add(reader.get(), 0);
+  ASSERT_GT(reader->SharedSubplans(), 0u);
+  ASSERT_TRUE(writer->HasReaders());
   auto solo = Unwrap(IncrementalEngine::Create(*formula, catalog));
 
   Rng rng(21);
@@ -439,15 +439,15 @@ TEST(AnchorStoreEngineTest, SharedSubplansStayByteIdenticalToUnshared) {
   for (int step = 0; step < 50; ++step) {
     t += 1 + static_cast<Timestamp>(rng.Uniform(3));
     Database db = RandomPQState(&rng, 0.4);
-    const bool v_leader = Unwrap(leader->OnTransition(db, t));
-    const bool v_follower = Unwrap(follower->OnTransition(db, t));
+    const bool v_writer = Unwrap(writer->OnTransition(db, t));
+    const bool v_reader = Unwrap(reader->OnTransition(db, t));
     const bool v_solo = Unwrap(solo->OnTransition(db, t));
-    ASSERT_EQ(v_leader, v_solo) << "step " << step;
-    ASSERT_EQ(v_follower, v_solo) << "step " << step;
+    ASSERT_EQ(v_writer, v_solo) << "step " << step;
+    ASSERT_EQ(v_reader, v_solo) << "step " << step;
     if (step % 10 == 0) {
       const std::string want = Unwrap(solo->SaveState());
-      ASSERT_EQ(Unwrap(leader->SaveState()), want) << "step " << step;
-      ASSERT_EQ(Unwrap(follower->SaveState()), want) << "step " << step;
+      ASSERT_EQ(Unwrap(writer->SaveState()), want) << "step " << step;
+      ASSERT_EQ(Unwrap(reader->SaveState()), want) << "step " << step;
     }
   }
 }

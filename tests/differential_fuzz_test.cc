@@ -22,6 +22,7 @@
 namespace rtic {
 namespace {
 
+using testing::CheckpointedConstraints;
 using testing::I;
 using testing::IntSchema;
 using testing::PQRSchemas;
@@ -225,13 +226,13 @@ TEST(WorkloadDifferentialTest, LibraryStreamAllVariantsAgree) {
 
 // ---- shared-subplan differentials ------------------------------------------
 
-/// A P/Q/R monitor with several named constraints and configurable
-/// subplan sharing.
+using Registrations = std::vector<std::pair<std::string, std::string>>;
+
+/// A P/Q/R monitor with several named constraints, all registered before
+/// the first update, so identical subplans are shared.
 std::unique_ptr<ConstraintMonitor> MakeSharingMonitor(
-    const std::vector<std::pair<std::string, std::string>>& constraints,
-    bool shared_subplans, std::size_t num_threads) {
+    const Registrations& constraints, std::size_t num_threads) {
   MonitorOptions options;
-  options.shared_subplans = shared_subplans;
   options.num_threads = num_threads;
   options.max_witnesses = 1000000;
   auto monitor = std::make_unique<ConstraintMonitor>(options);
@@ -245,13 +246,54 @@ std::unique_ptr<ConstraintMonitor> MakeSharingMonitor(
   return monitor;
 }
 
+/// The reference a sharing monitor must reproduce: one single-constraint
+/// monitor per constraint, so nothing is shared between constraints.
+class SoloMonitors {
+ public:
+  explicit SoloMonitors(const Registrations& constraints) {
+    for (const auto& c : constraints) {
+      monitors_.emplace_back(c.first, MakeSharingMonitor({c}, 1));
+    }
+  }
+
+  /// Every monitor's reports for `batch`, in registration order.
+  std::vector<std::string> Apply(const UpdateBatch& batch) {
+    std::vector<Violation> all;
+    for (auto& [name, monitor] : monitors_) {
+      for (Violation& v : Unwrap(monitor->ApplyUpdate(batch))) {
+        all.push_back(std::move(v));
+      }
+    }
+    return Render(all);
+  }
+
+  /// Every constraint's checkpointed state, in registration order.
+  std::vector<std::string> Checkpointed() const {
+    std::vector<std::string> out;
+    for (const auto& [name, monitor] : monitors_) {
+      out.push_back(
+          CheckpointedConstraints(Unwrap(monitor->SaveState())).at(0));
+    }
+    return out;
+  }
+
+  void Drop(const std::string& name) {
+    std::erase_if(monitors_, [&](const auto& m) { return m.first == name; });
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::unique_ptr<ConstraintMonitor>>>
+      monitors_;
+};
+
 class SharedSubplanFuzzTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Duplicate constraints: the same formula registered under three names.
-// With sharing the duplicates coalesce down to one evaluation per
-// transition; reports AND full-monitor checkpoints must stay byte-identical
-// to the unshared monitor, in both serial and parallel fan-out.
+// The duplicates coalesce down to one evaluation per transition; reports
+// and per-constraint checkpoint entries must stay byte-identical to
+// single-constraint monitors, in both serial and parallel fan-out, and
+// through a restore, which keeps every handle coalesced.
 TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
@@ -260,12 +302,11 @@ TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
   const std::string trace = "seed=" + std::to_string(seed) +
                             " constraint: " + text;
   SCOPED_TRACE(trace);
-  const std::vector<std::pair<std::string, std::string>> registered = {
-      {"c1", text}, {"c2", text}, {"c3", text}};
+  const Registrations registered = {{"c1", text}, {"c2", text}, {"c3", text}};
 
-  auto unshared = MakeSharingMonitor(registered, false, 1);
-  auto shared_serial = MakeSharingMonitor(registered, true, 1);
-  auto shared_parallel = MakeSharingMonitor(registered, true, 8);
+  SoloMonitors solo(registered);
+  auto shared_serial = MakeSharingMonitor(registered, 1);
+  auto shared_parallel = MakeSharingMonitor(registered, 8);
 
   // Exact duplicates coalesce at least the verdict for every engine after
   // the first (temporal nodes add more).
@@ -274,49 +315,50 @@ TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
   EXPECT_EQ(stats[0].shared_subplans, 0u) << trace;
   EXPECT_GE(stats[1].shared_subplans, 1u) << trace;
   EXPECT_GE(stats[2].shared_subplans, 1u) << trace;
-  for (const ConstraintStats& s : unshared->Stats()) {
-    EXPECT_EQ(s.shared_subplans, 0u) << trace;
-  }
 
   Timestamp t = 0;
   for (int step = 0; step < 12; ++step) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
-    auto v_unshared = Unwrap(unshared->ApplyUpdate(batch));
-    auto v_serial = Unwrap(shared_serial->ApplyUpdate(batch));
-    auto v_parallel = Unwrap(shared_parallel->ApplyUpdate(batch));
-    ASSERT_EQ(Render(v_unshared), Render(v_serial))
+    const std::vector<std::string> want = solo.Apply(batch);
+    ASSERT_EQ(want, Render(Unwrap(shared_serial->ApplyUpdate(batch))))
         << trace << " shared/serial diverges at t=" << t;
-    ASSERT_EQ(Render(v_unshared), Render(v_parallel))
+    ASSERT_EQ(want, Render(Unwrap(shared_parallel->ApplyUpdate(batch))))
         << trace << " shared/parallel diverges at t=" << t;
   }
 
-  // Checkpoints serialize shared state as if owned: byte-identical blobs.
-  const std::string blob_unshared = Unwrap(unshared->SaveState());
-  const std::string blob_shared = Unwrap(shared_serial->SaveState());
-  ASSERT_EQ(blob_unshared, blob_shared) << trace;
+  // Checkpoints serialize shared objects as if owned.
+  const std::string blob = Unwrap(shared_serial->SaveState());
+  ASSERT_EQ(CheckpointedConstraints(blob), solo.Checkpointed()) << trace;
+  ASSERT_EQ(Unwrap(shared_parallel->SaveState()), blob) << trace;
 
-  // A restore detaches engines from shared state; verdicts must still
-  // match the unshared monitor afterwards.
-  RTIC_ASSERT_OK(shared_serial->LoadState(blob_shared));
-  for (const ConstraintStats& s : shared_serial->Stats()) {
-    EXPECT_EQ(s.shared_subplans, 0u)
-        << trace << " restore must detach " << s.name;
+  // A restore keeps every handle coalesced, and verdicts keep matching.
+  for (ConstraintMonitor* m : {shared_serial.get(), shared_parallel.get()}) {
+    RTIC_ASSERT_OK(m->LoadState(blob));
+    const std::vector<ConstraintStats> restored = m->Stats();
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+      EXPECT_EQ(restored[i].shared_subplans, stats[i].shared_subplans)
+          << trace << " restore must keep " << stats[i].name << " coalesced";
+    }
   }
   for (int step = 0; step < 6; ++step) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
-    auto v_unshared = Unwrap(unshared->ApplyUpdate(batch));
-    auto v_serial = Unwrap(shared_serial->ApplyUpdate(batch));
-    ASSERT_EQ(Render(v_unshared), Render(v_serial))
-        << trace << " post-restore diverges at t=" << t;
+    const std::vector<std::string> want = solo.Apply(batch);
+    ASSERT_EQ(want, Render(Unwrap(shared_serial->ApplyUpdate(batch))))
+        << trace << " post-restore serial diverges at t=" << t;
+    ASSERT_EQ(want, Render(Unwrap(shared_parallel->ApplyUpdate(batch))))
+        << trace << " post-restore parallel diverges at t=" << t;
   }
+  ASSERT_EQ(CheckpointedConstraints(Unwrap(shared_parallel->SaveState())),
+            solo.Checkpointed())
+      << trace;
 }
 
 // Distinct constraints with a common temporal subformula: only the
 // subformula's state coalesces (no verdict sharing), and unregistering the
-// engine that first acquired the shared node (the usual per-transition
-// leader) must leave the survivor's verdicts intact.
+// engine that writes the shared nodes and the domain must leave the
+// survivor's verdicts intact.
 TEST_P(SharedSubplanFuzzTest, OverlappingSubformulasAgree) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
@@ -324,13 +366,13 @@ TEST_P(SharedSubplanFuzzTest, OverlappingSubformulasAgree) {
   SCOPED_TRACE(trace);
   // Both constraints contain the subplans "once[0, 5] Q(a)" and
   // "previous P(a)"; the surrounding formulas differ.
-  const std::vector<std::pair<std::string, std::string>> registered = {
+  const Registrations registered = {
       {"lhs_p", "forall a: P(a) implies once[0, 5] Q(a) or previous P(a)"},
       {"lhs_r",
        "forall a, b: R(a, b) implies once[0, 5] Q(a) or previous P(a)"}};
 
-  auto unshared = MakeSharingMonitor(registered, false, 1);
-  auto shared = MakeSharingMonitor(registered, true, 8);
+  SoloMonitors solo(registered);
+  auto shared = MakeSharingMonitor(registered, 8);
 
   const std::vector<ConstraintStats> stats = shared->Stats();
   ASSERT_EQ(stats.size(), 2u);
@@ -342,24 +384,60 @@ TEST_P(SharedSubplanFuzzTest, OverlappingSubformulasAgree) {
   for (int step = 0; step < 12; ++step) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
-    auto v_unshared = Unwrap(unshared->ApplyUpdate(batch));
-    auto v_shared = Unwrap(shared->ApplyUpdate(batch));
-    ASSERT_EQ(Render(v_unshared), Render(v_shared))
+    ASSERT_EQ(solo.Apply(batch), Render(Unwrap(shared->ApplyUpdate(batch))))
         << trace << " diverges at t=" << t;
   }
 
-  // Drop the first-registered constraint on both sides; the shared node
-  // must keep advancing for the survivor.
-  RTIC_ASSERT_OK(unshared->UnregisterConstraint("lhs_p"));
+  // Drop the first-registered constraint; the survivor takes over the
+  // shared nodes and must keep advancing them.
+  solo.Drop("lhs_p");
   RTIC_ASSERT_OK(shared->UnregisterConstraint("lhs_p"));
   for (int step = 0; step < 8; ++step) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
-    auto v_unshared = Unwrap(unshared->ApplyUpdate(batch));
-    auto v_shared = Unwrap(shared->ApplyUpdate(batch));
-    ASSERT_EQ(Render(v_unshared), Render(v_shared))
+    ASSERT_EQ(solo.Apply(batch), Render(Unwrap(shared->ApplyUpdate(batch))))
         << trace << " post-unregister diverges at t=" << t;
   }
+}
+
+// Unregistering the constraint that writes a shared node, a shared verdict
+// and the domain hands each object to the next live reader: the survivors
+// report, and checkpoint, exactly what they would had that constraint
+// never been registered.
+TEST_P(SharedSubplanFuzzTest, UnregisteredWriterHandsOverItsObjects) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  const std::string trace = "seed=" + std::to_string(seed);
+  SCOPED_TRACE(trace);
+  const std::string text =
+      "forall a: P(a) implies once[0, 5] Q(a) or previous P(a)";
+  // "copy" reads the writer's nodes and verdict, "overlap" its once node;
+  // both read its domain.
+  const Registrations survivors = {
+      {"copy", text}, {"overlap", "forall a, b: R(a, b) implies once[0, 5] Q(a)"}};
+  Registrations registered = {{"writer", text}};
+  registered.insert(registered.end(), survivors.begin(), survivors.end());
+
+  auto shared = MakeSharingMonitor(registered, 8);
+  auto never = MakeSharingMonitor(survivors, 1);
+  ASSERT_EQ(shared->Stats()[1].shared_subplans, 3u);
+  ASSERT_EQ(shared->Stats()[2].shared_subplans, 1u);
+
+  Timestamp t = 0;
+  for (int step = 0; step < 20; ++step) {
+    t += rng.UniformInt(1, 3);
+    UpdateBatch batch = RandomDelta(&rng, t);
+    std::vector<Violation> got = Unwrap(shared->ApplyUpdate(batch));
+    std::erase_if(got, [](const Violation& v) {
+      return v.constraint_name == "writer";
+    });
+    ASSERT_EQ(Render(Unwrap(never->ApplyUpdate(batch))), Render(got))
+        << trace << " diverges at t=" << t;
+    if (step == 9) RTIC_ASSERT_OK(shared->UnregisterConstraint("writer"));
+  }
+  ASSERT_EQ(CheckpointedConstraints(Unwrap(shared->SaveState())),
+            CheckpointedConstraints(Unwrap(never->SaveState())))
+      << trace;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedSubplanFuzzTest,

@@ -15,6 +15,7 @@
 #include "engines/incremental/engine.h"
 #include "engines/naive/naive_engine.h"
 #include "monitor/monitor.h"
+#include "storage/codec.h"
 #include "tests/test_util.h"
 #include "tl/parser.h"
 
@@ -94,6 +95,39 @@ inline Result<std::vector<bool>> RunScenario(
     verdicts.push_back(holds);
   }
   return verdicts;
+}
+
+/// Each constraint's entry in a base RTICMON3 checkpoint (name, transition
+/// and violation counters, engine state), joined into one string: lets a
+/// test compare a monitor's per-constraint state with other monitors'.
+inline std::vector<std::string> CheckpointedConstraints(
+    const std::string& checkpoint) {
+  StateReader r(checkpoint);
+  EXPECT_EQ(Unwrap(r.ReadString()), "RTICMON3");
+  EXPECT_EQ(Unwrap(r.ReadString()), "base");
+  for (int i = 0; i < 3; ++i) (void)Unwrap(r.ReadInt());  // clock, totals
+  const std::int64_t tables = Unwrap(r.ReadInt());
+  for (std::int64_t t = 0; t < tables; ++t) {
+    (void)Unwrap(r.ReadString());
+    const std::int64_t columns = Unwrap(r.ReadInt());
+    for (std::int64_t c = 0; c < columns; ++c) {
+      (void)Unwrap(r.ReadString());
+      (void)Unwrap(r.ReadInt());
+    }
+    const std::int64_t rows = Unwrap(r.ReadInt());
+    for (std::int64_t k = 0; k < rows; ++k) (void)Unwrap(r.ReadTuple());
+  }
+  std::vector<std::string> entries;
+  const std::int64_t constraints = Unwrap(r.ReadInt());
+  for (std::int64_t c = 0; c < constraints; ++c) {
+    std::string entry = Unwrap(r.ReadString());
+    entry += " " + std::to_string(Unwrap(r.ReadInt()));
+    entry += " " + std::to_string(Unwrap(r.ReadInt()));
+    entry += " " + Unwrap(r.ReadString());
+    entries.push_back(std::move(entry));
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return entries;
 }
 
 /// Shorthand: unary int tables P, Q and binary R.

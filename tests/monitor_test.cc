@@ -254,8 +254,7 @@ TEST_P(MonitorTest, UnregisterStopsChecking) {
 // The shared-subplan pass must coalesce known-identical temporal subplans
 // across constraints and report the count through ConstraintStats.
 TEST(MonitorSharingTest, CoalescesKnownIdenticalSubplans) {
-  MonitorOptions options;  // shared_subplans defaults to true
-  ConstraintMonitor monitor(options);
+  ConstraintMonitor monitor;
   RTIC_ASSERT_OK(monitor.CreateTable("P", IntSchema({"a"})));
   RTIC_ASSERT_OK(monitor.CreateTable("Q", IntSchema({"a"})));
   // Both constraints contain the identical subplan "once[0, 5] Q(a)"; the
@@ -283,20 +282,6 @@ TEST(MonitorSharingTest, CoalescesKnownIdenticalSubplans) {
   EXPECT_TRUE(Unwrap(monitor.ApplyUpdate(b2)).empty());
 }
 
-TEST(MonitorSharingTest, SharingOffKeepsEnginesPrivate) {
-  MonitorOptions options;
-  options.shared_subplans = false;
-  ConstraintMonitor monitor(options);
-  RTIC_ASSERT_OK(monitor.CreateTable("P", IntSchema({"a"})));
-  RTIC_ASSERT_OK(monitor.RegisterConstraint(
-      "c1", "forall a: P(a) implies once[0, 5] P(a)"));
-  RTIC_ASSERT_OK(monitor.RegisterConstraint(
-      "c2", "forall a: P(a) implies once[0, 5] P(a)"));
-  for (const ConstraintStats& s : monitor.Stats()) {
-    EXPECT_EQ(s.shared_subplans, 0u) << s.name;
-  }
-}
-
 // Constraints registered mid-stream have seen a shorter history, so they
 // must NOT coalesce with engines registered at an earlier epoch — their
 // auxiliary state legitimately differs.
@@ -321,6 +306,48 @@ TEST(MonitorSharingTest, LateRegistrationDoesNotCoalesce) {
   b2.Delete("P", T(I(1)));
   b2.Insert("P", T(I(2)));
   EXPECT_TRUE(Unwrap(monitor.ApplyUpdate(b2)).empty());
+}
+
+// A restarted process registers every constraint before the first update,
+// so two constraints that were registered at different epochs share by text
+// again. Their checkpoints disagree, so the restore must split them apart:
+// the late one keeps its own, shorter history.
+TEST(MonitorSharingTest, RestoreSplitsSubplansWhoseStateDiffers) {
+  const std::string text = "forall a: P(a) implies once[0, 100] Q(a)";
+  auto make = [&](bool late) {
+    auto monitor = std::make_unique<ConstraintMonitor>();
+    RTIC_EXPECT_OK(monitor->CreateTable("P", IntSchema({"a"})));
+    RTIC_EXPECT_OK(monitor->CreateTable("Q", IntSchema({"a"})));
+    RTIC_EXPECT_OK(monitor->RegisterConstraint("early", text));
+    if (!late) RTIC_EXPECT_OK(monitor->RegisterConstraint("late", text));
+    return monitor;
+  };
+  auto original = make(/*late=*/true);
+  UpdateBatch b1(1);
+  b1.Insert("Q", T(I(1)));
+  UpdateBatch b2(2);
+  b2.Delete("Q", T(I(1)));
+  EXPECT_TRUE(Unwrap(original->ApplyUpdate(b1)).empty());
+  EXPECT_TRUE(Unwrap(original->ApplyUpdate(b2)).empty());
+  RTIC_ASSERT_OK(original->RegisterConstraint("late", text));
+  const std::string checkpoint = Unwrap(original->SaveState());
+
+  auto restarted = make(/*late=*/false);
+  EXPECT_EQ(restarted->Stats()[1].shared_subplans, 2u);  // once + verdict
+  RTIC_ASSERT_OK(restarted->LoadState(checkpoint));
+  EXPECT_EQ(restarted->Stats()[1].shared_subplans, 0u);
+  EXPECT_EQ(Unwrap(restarted->SaveState()), checkpoint);
+
+  // Only "early" saw Q(1), so only "late" reports P(1).
+  UpdateBatch b3(3);
+  b3.Insert("P", T(I(1)));
+  const std::vector<Violation> want = Unwrap(original->ApplyUpdate(b3));
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].constraint_name, "late");
+  const std::vector<Violation> got = Unwrap(restarted->ApplyUpdate(b3));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].ToString(), want[0].ToString());
+  EXPECT_EQ(Unwrap(restarted->SaveState()), Unwrap(original->SaveState()));
 }
 
 TEST(MonitorOptionsTest, EngineKindNames) {

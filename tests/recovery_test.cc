@@ -290,6 +290,49 @@ TEST(DurableMonitorTest, StatsStayConsistentAcrossRecovery) {
       << "Stats() must sum to total_violations() after recovery";
 }
 
+// Recovery restores shared subplans shared: a restarted durable monitor
+// with duplicate and overlapping constraints reports the same coalesced
+// handles as before the restart, and keeps checking like it.
+TEST(DurableMonitorTest, SharedSubplansSurviveRecovery) {
+  const std::string dir = MakeTempDir() + "/wal";
+  auto make = [&] {
+    auto monitor = MakeMonitor(DurableOptions(dir, 8));
+    RTIC_EXPECT_OK(monitor->RegisterConstraint(
+        "no_pay_cut_copy",
+        "forall e, s, s0: Emp(e, s) and previous Emp(e, s0) implies s >= s0"));
+    RTIC_EXPECT_OK(monitor->RegisterConstraint(
+        "paid_before", "forall e, s0: previous Emp(e, s0) implies s0 > 0"));
+    return monitor;
+  };
+  auto coalesced = [](const ConstraintMonitor& m) {
+    std::vector<std::size_t> out;
+    for (const ConstraintStats& s : m.Stats()) out.push_back(s.shared_subplans);
+    return out;
+  };
+  std::vector<std::size_t> want;
+  std::string final_state;
+  {
+    auto monitor = make();
+    RTIC_ASSERT_OK(monitor->Recover().status());
+    for (std::size_t i = 0; i < 30; ++i) {
+      RTIC_ASSERT_OK(monitor->ApplyUpdate(MakeBatch(i)).status());
+    }
+    want = coalesced(*monitor);
+    EXPECT_EQ(want, (std::vector<std::size_t>{0, 2, 1}));
+    for (std::size_t i = 30; i < 40; ++i) {
+      RTIC_ASSERT_OK(monitor->ApplyUpdate(MakeBatch(i)).status());
+    }
+    final_state = Unwrap(monitor->SaveState());
+  }
+
+  // Installs the base+delta checkpoint chain (one every 8 batches).
+  auto recovered = make();
+  wal::RecoveryStats stats = Unwrap(recovered->Recover());
+  EXPECT_GT(stats.checkpoint_seq, 0u);
+  EXPECT_EQ(coalesced(*recovered), want);
+  EXPECT_EQ(Unwrap(recovered->SaveState()), final_state);
+}
+
 /// Fails the first Rename (the checkpoint's atomic install step), then
 /// works again — a transient failure that must not cost the batch its
 /// verdicts.

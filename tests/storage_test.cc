@@ -1,5 +1,5 @@
 // Unit tests for the storage module: Table, Database, UpdateBatch,
-// DomainTracker, and the history logs.
+// DomainTracker, and the history log.
 
 #include <gtest/gtest.h>
 
@@ -324,7 +324,7 @@ TEST(DomainTrackerTest, AbsorbValuesAndTypeBuckets) {
   EXPECT_TRUE(tracker.Values(ValueType::kDouble).empty());
 }
 
-// ---- HistoryLog / DeltaLog -----------------------------------------------------
+// ---- HistoryLog ----------------------------------------------------------------
 
 TEST(HistoryLogTest, AppendsSnapshotsAndEnforcesMonotonicTime) {
   Database db;
@@ -342,34 +342,6 @@ TEST(HistoryLogTest, AppendsSnapshotsAndEnforcesMonotonicTime) {
   EXPECT_EQ(Unwrap(log.StateAt(0).GetTable("P"))->size(), 0u);
   EXPECT_EQ(Unwrap(log.StateAt(1).GetTable("P"))->size(), 1u);
   EXPECT_EQ(log.TotalStoredRows(), 1u);
-}
-
-TEST(DeltaLogTest, MaterializesByReplay) {
-  Database db;
-  RTIC_ASSERT_OK(db.CreateTable("P", IntSchema({"x"})));
-  DeltaLog log(db);
-
-  UpdateBatch b1(1);
-  b1.Insert("P", T(I(1)));
-  UpdateBatch b2(2);
-  b2.Insert("P", T(I(2)));
-  b2.Delete("P", T(I(1)));
-  RTIC_ASSERT_OK(log.Append(b1));
-  RTIC_ASSERT_OK(log.Append(b2));
-
-  Database s0 = Unwrap(log.Materialize(0));
-  Database s1 = Unwrap(log.Materialize(1));
-  EXPECT_TRUE(Unwrap(s0.GetTable("P"))->Contains(T(I(1))));
-  EXPECT_FALSE(Unwrap(s1.GetTable("P"))->Contains(T(I(1))));
-  EXPECT_TRUE(Unwrap(s1.GetTable("P"))->Contains(T(I(2))));
-  EXPECT_FALSE(log.Materialize(2).ok());
-}
-
-TEST(DeltaLogTest, RejectsNonMonotonicBatches) {
-  DeltaLog log{Database{}};
-  RTIC_ASSERT_OK(log.Append(UpdateBatch(3)));
-  EXPECT_FALSE(log.Append(UpdateBatch(3)).ok());
-  EXPECT_FALSE(log.Append(UpdateBatch(1)).ok());
 }
 
 }  // namespace
