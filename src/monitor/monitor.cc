@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "common/compress.h"
-#include "common/logging.h"
 #include "engines/active/compiler.h"
 #include "engines/incremental/engine.h"
 #include "engines/naive/naive_engine.h"
 #include "engines/response/response_engine.h"
-#include "replication/shipper.h"
-#include "replication/tcp_transport.h"
+#include "monitor/durable_log.h"
 #include "storage/codec.h"
 #include "tl/parser.h"
 
@@ -94,7 +92,7 @@ ConstraintMonitor::ConstraintMonitor(MonitorOptions options)
   }
 }
 
-ConstraintMonitor::~ConstraintMonitor() { StopShipping(); }
+ConstraintMonitor::~ConstraintMonitor() = default;
 
 Status ConstraintMonitor::CreateTable(const std::string& name,
                                       Schema schema) {
@@ -218,173 +216,55 @@ Status ConstraintMonitor::UnregisterConstraint(const std::string& name) {
   return Status::NotFound("no such constraint: " + name);
 }
 
-namespace {
-
-/// Adapts the monitor's public checkpoint/update surface to the
-/// wal::ReplayTarget interface. Replayed batches take the normal
-/// ApplyUpdate path (constraint checks included), so a recovered monitor's
-/// auxiliary state is exactly what an uninterrupted run would hold.
-class MonitorReplayTarget final : public wal::ReplayTarget {
- public:
-  explicit MonitorReplayTarget(ConstraintMonitor* monitor)
-      : monitor_(monitor) {}
-
-  Status RestoreCheckpoint(const std::string& payload) override {
-    return monitor_->LoadState(payload);
-  }
-  Status RestoreCheckpointDelta(const std::string& payload) override {
-    return monitor_->LoadStateDelta(payload);
-  }
-  Status Replay(const UpdateBatch& batch) override {
-    // Violations were already reported when the batch was first accepted.
-    return monitor_->ApplyUpdate(batch).status();
-  }
-  Result<std::string> CaptureCheckpoint() override {
-    RTIC_ASSIGN_OR_RETURN(std::string payload, monitor_->SaveState());
-    if (monitor_->options().checkpoint_compression) return Compress(payload);
-    return payload;
-  }
-
- private:
-  ConstraintMonitor* monitor_;
-};
-
-}  // namespace
-
 Result<wal::RecoveryStats> ConstraintMonitor::Recover() {
   if (options_.wal_dir.empty()) {
     return Status::FailedPrecondition(
         "Recover() requires MonitorOptions::wal_dir");
   }
-  if (recovery_ != nullptr) {
+  if (log_ != nullptr) {
     return Status::FailedPrecondition("Recover() already ran");
   }
   if (transition_count_ > 0) {
     return Status::FailedPrecondition(
         "Recover() must run before the first update");
   }
-  // Fail fast if this configuration cannot checkpoint (e.g. the naive
-  // engine), before any WAL state is touched.
-  RTIC_RETURN_IF_ERROR(SaveState().status());
-
-  wal::WalOptions wal_options;
-  wal_options.dir = options_.wal_dir;
-  wal_options.sync_policy = options_.sync_policy;
-  wal_options.group_commit_window_micros =
-      options_.group_commit_window_micros;
-  wal_options.checkpoint_interval = options_.checkpoint_interval;
-  wal_options.delta_chain_limit = options_.checkpoint_delta_chain;
-  wal_options.segment_bytes = options_.wal_segment_bytes;
-  wal_options.fs = options_.wal_fs;
-
   // Arm delta tracking before recovery so the restore re-baselines it and
   // replayed tail batches accumulate exactly the changes since the
   // installed checkpoint.
   if (options_.checkpoint_delta_chain > 0) BeginDeltaTracking();
-
-  MonitorReplayTarget target(this);
-  recovering_ = true;
-  Result<std::unique_ptr<wal::RecoveryManager>> manager =
-      wal::RecoveryManager::Open(wal_options, &target);
-  recovering_ = false;
-  if (!manager.ok()) return manager.status();
-  recovery_ = std::move(manager).value();
-  // When the checkpoint already covers the whole log (no tail, or Open's
-  // damaged-tail re-anchor just captured the live state), the current
-  // state IS the baseline; replay-accumulated tracking would otherwise
-  // leak into the next delta.
-  if (recovery_->checkpoint_seq() == recovery_->last_seq()) {
-    ResetCheckpointTracking();
-  }
-  if (!options_.replication_standby.empty()) {
-    RTIC_RETURN_IF_ERROR(StartShipping());
-  }
-  return recovery_->stats();
+  RTIC_ASSIGN_OR_RETURN(log_, DurableLog::Open(options_, this));
+  return log_->recovery_stats();
 }
 
-Status ConstraintMonitor::StartShipping() {
-  RTIC_ASSIGN_OR_RETURN(ship_transport_,
-                        replication::TcpConnect(options_.replication_standby));
-  replication::ShipperOptions ship_options;
-  ship_options.dir = options_.wal_dir;
-  ship_options.fs = options_.wal_fs;
-  shipper_ = std::make_unique<replication::SegmentShipper>(
-      ship_options, ship_transport_.get());
-  RTIC_RETURN_IF_ERROR(shipper_->Start());
-  ship_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(ship_mu_);
-        ship_cv_.wait_for(
-            lock, std::chrono::microseconds(options_.ship_interval_micros),
-            [this] { return ship_stop_; });
-        if (ship_stop_) break;
-      }
-      Status s = shipper_->ShipOnce();
-      if (!s.ok()) {
-        RTIC_LOG(Warning) << "replication: shipping stopped: "
-                          << s.ToString();
-        break;
-      }
-    }
-  });
-  return Status::OK();
-}
-
-void ConstraintMonitor::StopShipping() {
-  if (!ship_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(ship_mu_);
-    ship_stop_ = true;
-  }
-  ship_cv_.notify_all();
-  ship_thread_.join();
-  // Flush the WAL's buffered tail first (the recovery manager's clean
-  // shutdown), then ship it: a clean primary shutdown leaves the standby
-  // holding every durable record.
-  recovery_.reset();
-  Status s = shipper_->ShipOnce();
-  if (!s.ok()) {
-    RTIC_LOG(Warning) << "replication: final shipping pass failed: "
-                      << s.ToString();
-  } else {
-    // Wait for the standby to confirm the tail before closing: closing
-    // immediately after the final send can reset the connection under the
-    // standby's in-flight reply and discard its still-buffered frames.
-    s = shipper_->WaitForAck(transition_count_, /*timeout_micros=*/5'000'000);
-    if (!s.ok()) {
-      RTIC_LOG(Warning) << "replication: standby did not confirm the tail: "
-                        << s.ToString();
-    }
-  }
-  ship_transport_->Close();
+const CheckpointStats& ConstraintMonitor::checkpoint_stats() const {
+  static const CheckpointStats kNone;
+  return log_ != nullptr ? log_->checkpoint_stats() : kNone;
 }
 
 Result<std::vector<Violation>> ConstraintMonitor::ApplyUpdate(
     const UpdateBatch& batch) {
+  if (!options_.wal_dir.empty() && log_ == nullptr) {
+    return Status::FailedPrecondition(
+        "durable monitor: call Recover() before applying updates");
+  }
+  return Commit(batch, log_.get());
+}
+
+Result<std::vector<Violation>> ConstraintMonitor::Commit(
+    const UpdateBatch& batch, DurableLog* log) {
   if (transition_count_ > 0 && batch.timestamp() <= current_time_) {
     return Status::InvalidArgument(
         "batch timestamp " + std::to_string(batch.timestamp()) +
         " does not advance the clock past " + std::to_string(current_time_));
   }
-  const bool durable_live = !options_.wal_dir.empty() && !recovering_;
-  if (durable_live) {
-    if (recovery_ == nullptr) {
-      return Status::FailedPrecondition(
-          "durable monitor: call Recover() before applying updates");
-    }
+  if (log != nullptr || delta_tracking_) {
     // Validate before logging so the WAL only ever holds batches that
-    // Apply() below cannot reject.
+    // Apply() below cannot reject, and so tracking never records a batch
+    // that fails to commit (Apply() rejects exactly what Validate() does).
     RTIC_RETURN_IF_ERROR(batch.Validate(db_));
-    RTIC_RETURN_IF_ERROR(recovery_->AppendBatch(batch));
   }
-  if (delta_tracking_) {
-    // Tracking must never record a batch that fails to commit; Apply()
-    // rejects exactly what Validate() rejects, so validating here (when
-    // the durable path above has not already) makes Apply() infallible.
-    if (!durable_live) RTIC_RETURN_IF_ERROR(batch.Validate(db_));
-    TrackBatchDelta(batch);
-  }
+  if (log != nullptr) RTIC_RETURN_IF_ERROR(log->Append(batch));
+  if (delta_tracking_) TrackBatchDelta(batch);
   RTIC_RETURN_IF_ERROR(batch.Apply(&db_));
   current_time_ = batch.timestamp();
   ++transition_count_;
@@ -437,63 +317,10 @@ Result<std::vector<Violation>> ConstraintMonitor::ApplyUpdate(
     ++total_violations_;
     violations.push_back(std::move(out.violation));
   }
-  if (recovery_ != nullptr && !recovering_ && recovery_->ShouldCheckpoint()) {
-    // The batch is applied, logged, and checked; a failed periodic
-    // checkpoint must not discard its verdicts. Log the error and leave
-    // the should-checkpoint state armed so the next accepted batch
-    // retries. (If the file system is truly gone, the next batch's WAL
-    // append will surface that as its own failure.)
-    Status checkpoint = WritePeriodicCheckpoint();
-    if (!checkpoint.ok()) {
-      RTIC_LOG(Warning) << "monitor: periodic checkpoint failed (will retry "
-                           "next interval): "
-                        << checkpoint.ToString();
-    }
-  }
+  // The batch is applied, logged, and checked; a failed periodic
+  // checkpoint must not discard its verdicts.
+  if (log != nullptr) log->CheckpointIfDue();
   return violations;
-}
-
-Status ConstraintMonitor::WritePeriodicCheckpoint() {
-  auto started = std::chrono::steady_clock::now();
-  wal::RecoveryManager::CheckpointPlan plan = recovery_->PlanCheckpoint();
-  // A failed attempt may have burned the delta baseline (SaveStateDelta
-  // resets it before the write lands), so after any failure the retry
-  // falls back to a self-contained snapshot.
-  if (!delta_tracking_ || force_base_checkpoint_) plan.delta = false;
-  Result<std::string> payload = plan.delta ? SaveStateDelta() : SaveState();
-  if (!payload.ok()) {
-    ++checkpoint_stats_.failures;
-    force_base_checkpoint_ = true;
-    return payload.status();
-  }
-  const std::string blob = options_.checkpoint_compression
-                               ? Compress(payload.value())
-                               : std::move(payload).value();
-  Status written = plan.delta
-                       ? recovery_->WriteCheckpointDelta(blob, plan.parent_seq)
-                       : recovery_->WriteCheckpoint(blob);
-  if (!written.ok()) {
-    ++checkpoint_stats_.failures;
-    force_base_checkpoint_ = true;
-    return written;
-  }
-  if (plan.delta) {
-    ++checkpoint_stats_.deltas;
-    checkpoint_stats_.delta_bytes += blob.size();
-  } else {
-    ++checkpoint_stats_.bases;
-    checkpoint_stats_.base_bytes += blob.size();
-    force_base_checkpoint_ = false;
-  }
-  ResetCheckpointTracking();
-  const std::int64_t micros =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count();
-  checkpoint_stats_.total_micros += micros;
-  checkpoint_stats_.max_micros = std::max(checkpoint_stats_.max_micros, micros);
-  checkpoint_stats_.last_micros = micros;
-  return Status::OK();
 }
 
 void ConstraintMonitor::CheckConstraint(std::size_t i,
@@ -589,6 +416,7 @@ namespace {
 constexpr char kMonitorMagic[] = "RTICMON3";
 constexpr char kMonitorMagicV2[] = "RTICMON2";
 constexpr char kLegacyMonitorMagic[] = "RTICMON1";
+constexpr char kShardedMagic[] = "RTICSHD1";  // shard/sharded_monitor.cc
 constexpr char kKindBase[] = "base";
 constexpr char kKindDelta[] = "delta";
 }  // namespace
@@ -659,6 +487,9 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
       return Status::InvalidArgument("unknown checkpoint kind '" + kind +
                                      "'");
     }
+  } else if (magic == kShardedMagic) {
+    return Status::FailedPrecondition(
+        "checkpoint was written by a sharded monitor");
   } else if (magic != kMonitorMagicV2) {
     return Status::InvalidArgument("not an rtic monitor checkpoint");
   }
@@ -683,8 +514,12 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
     }
     RTIC_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(columns)));
     // Validate against the live catalog.
-    RTIC_ASSIGN_OR_RETURN(const Table* live, db_.GetTable(name));
-    if (!(live->schema() == schema)) {
+    Result<const Table*> live = db_.GetTable(name);
+    if (!live.ok()) {
+      return Status::FailedPrecondition("checkpoint table " + name +
+                                        " is not registered");
+    }
+    if (!(live.value()->schema() == schema)) {
       return Status::FailedPrecondition(
           "checkpoint schema for table " + name +
           " does not match the registered schema");
@@ -765,10 +600,17 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
 }
 
 void ConstraintMonitor::BeginDeltaTracking() {
-  if (delta_tracking_) return;
-  delta_tracking_ = true;
-  for (const auto& c : constraints_) c->engine->BeginDeltaTracking();
+  if (!delta_tracking_) {
+    delta_tracking_ = true;
+    for (const auto& c : constraints_) c->engine->BeginDeltaTracking();
+  }
   ResetCheckpointTracking();
+}
+
+Result<std::string> ConstraintMonitor::CaptureCheckpoint() {
+  RTIC_ASSIGN_OR_RETURN(std::string payload, SaveState());
+  if (delta_tracking_) ResetCheckpointTracking();
+  return payload;
 }
 
 void ConstraintMonitor::ResetCheckpointTracking() {

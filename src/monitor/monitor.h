@@ -11,18 +11,17 @@
 //
 // Each ApplyUpdate commits one history state (timestamps strictly
 // increasing) and checks every registered constraint at that state,
-// returning violation reports with counterexample witnesses.
+// returning violation reports with counterexample witnesses. With
+// MonitorOptions::wal_dir set, the monitor owns one DurableLog
+// (monitor/durable_log.h) that logs, checkpoints and ships its state.
 
 #ifndef RTIC_MONITOR_MONITOR_H_
 #define RTIC_MONITOR_MONITOR_H_
 
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -38,10 +37,7 @@
 
 namespace rtic {
 
-namespace replication {
-class SegmentShipper;
-class Transport;
-}  // namespace replication
+class DurableLog;
 
 /// Which checking strategy newly registered constraints use.
 enum class EngineKind {
@@ -159,7 +155,8 @@ struct CheckpointStats {
 };
 
 /// The monitor: owns the evolving database and one checker per constraint.
-class ConstraintMonitor : public MonitorLike {
+/// It is the wal::ReplayTarget its own DurableLog recovers into.
+class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
  public:
   explicit ConstraintMonitor(MonitorOptions options = {});
   ~ConstraintMonitor() override;
@@ -193,11 +190,14 @@ class ConstraintMonitor : public MonitorLike {
   Status UnregisterConstraint(const std::string& name);
 
   /// Durable mode (wal_dir set) only: restores the newest checkpoint,
-  /// replays the WAL tail through the normal ApplyUpdate path (torn or
-  /// corrupt tails are truncated, logged, and never fatal), and arms the
-  /// log for subsequent updates. Must be called exactly once, after every
+  /// replays the WAL tail through the normal commit path (torn or corrupt
+  /// tails are truncated, logged, and never fatal), and arms the log for
+  /// subsequent updates. Must be called exactly once, after every
   /// CreateTable/RegisterConstraint and before the first update. Requires
-  /// a checkpointable engine configuration (see SaveState()).
+  /// a checkpointable engine configuration (see SaveState()). Fails with
+  /// FailedPrecondition, leaving every file in place, when the newest
+  /// checkpoint was written under another registration (see LoadState())
+  /// or wal_dir holds an older release's per-shard layout.
   Result<wal::RecoveryStats> Recover() override;
 
   /// Commits one transition: applies the batch (timestamp must exceed the
@@ -244,7 +244,8 @@ class ConstraintMonitor : public MonitorLike {
   Result<std::string> SaveState() const;
 
   /// Restores a SaveState() checkpoint into a monitor with the SAME tables
-  /// and constraints registered (names and schemas are validated).
+  /// and constraints registered (names, order and schemas are validated;
+  /// a mismatch, or a sharded RTICSHD1 checkpoint, is FailedPrecondition).
   /// Replaces the database, all checker state, and the per-constraint
   /// transition/violation counters (so Stats() stays consistent with
   /// total_violations() across recovery); per-constraint timing statistics
@@ -254,10 +255,12 @@ class ConstraintMonitor : public MonitorLike {
   /// rejected with InvalidArgument.
   Status LoadState(const std::string& data);
 
-  /// Arms delta-checkpoint tracking: table-level change sets in the
-  /// monitor plus per-engine dirty tracking. Recover() arms this
-  /// automatically when checkpoint_delta_chain > 0; call it directly only
-  /// to use SaveStateDelta()/LoadStateDelta() without a WAL. Idempotent.
+  /// Arms delta-checkpoint tracking (table-level change sets in the
+  /// monitor plus per-engine dirty tracking) and makes the current state
+  /// the baseline the next SaveStateDelta() diffs against; call it again
+  /// after saving a base to chain deltas onto that base. Recover() arms
+  /// this automatically when checkpoint_delta_chain > 0; call it directly
+  /// only to use SaveStateDelta()/LoadStateDelta() without a WAL.
   void BeginDeltaTracking();
 
   /// Serializes only what changed since the last checkpoint baseline
@@ -273,7 +276,7 @@ class ConstraintMonitor : public MonitorLike {
   Status LoadStateDelta(const std::string& data);
 
   /// Checkpoint-write statistics (durable mode; zeros otherwise).
-  const CheckpointStats& checkpoint_stats() const { return checkpoint_stats_; }
+  const CheckpointStats& checkpoint_stats() const;
 
   /// The configuration this monitor runs with.
   const MonitorOptions& options() const { return options_; }
@@ -300,10 +303,26 @@ class ConstraintMonitor : public MonitorLike {
   /// state saved.
   void ResetCheckpointTracking();
 
-  /// Builds and durably writes one periodic checkpoint (full or delta per
-  /// the recovery manager's plan, compressed per options), updating
-  /// checkpoint_stats_.
-  Status WritePeriodicCheckpoint();
+  /// ApplyUpdate's work, logging to `log` when non-null (replay passes
+  /// none) and writing the periodic checkpoint when due.
+  Result<std::vector<Violation>> Commit(const UpdateBatch& batch,
+                                        DurableLog* log);
+
+  // wal::ReplayTarget, driven by log_ during Recover() and at checkpoints.
+  Status RestoreCheckpoint(const std::string& payload) override {
+    return LoadState(payload);
+  }
+  Status RestoreCheckpointDelta(const std::string& payload) override {
+    return LoadStateDelta(payload);
+  }
+  Status Replay(const UpdateBatch& batch) override {
+    // Violations were already reported when the batch was first accepted.
+    return Commit(batch, nullptr).status();
+  }
+  Result<std::string> CaptureCheckpoint() override;
+  Result<std::string> CaptureCheckpointDelta() override {
+    return SaveStateDelta();
+  }
 
   /// Runs constraint `i`'s check against the just-committed state, filling
   /// `out`. Safe to call concurrently for distinct `i`: it touches only
@@ -319,27 +338,13 @@ class ConstraintMonitor : public MonitorLike {
   // Links the incremental engines, so each shared subplan is kept once.
   inc::SubplanDag dag_;
   std::unique_ptr<ThreadPool> pool_;  // non-null iff num_threads > 1
-  std::unique_ptr<wal::RecoveryManager> recovery_;  // non-null once durable
-  bool recovering_ = false;  // Recover() is replaying through ApplyUpdate
-
-  // Log-shipping replication (armed by Recover() when replication_standby
-  // is set; see StartShipping/StopShipping in monitor.cc).
-  std::unique_ptr<replication::Transport> ship_transport_;
-  std::unique_ptr<replication::SegmentShipper> shipper_;
-  std::thread ship_thread_;
-  std::mutex ship_mu_;
-  std::condition_variable ship_cv_;
-  bool ship_stop_ = false;  // guarded by ship_mu_
-
-  Status StartShipping();
-  void StopShipping();
 
   // Delta-checkpoint tracking (armed by BeginDeltaTracking()).
   bool delta_tracking_ = false;
-  bool force_base_checkpoint_ = false;  // a failed attempt burned the baseline
   std::map<std::string, TableDelta> table_deltas_;
   std::size_t checkpoint_parent_transitions_ = 0;
-  CheckpointStats checkpoint_stats_;
+
+  std::unique_ptr<DurableLog> log_;  // non-null once Recover() succeeded
 };
 
 }  // namespace rtic

@@ -1,9 +1,9 @@
 // MonitorLike: the abstract surface a constraint monitor presents to
 // callers that do not care how checking is organized behind it — the RTIC
 // server drives tenants through this interface, so a tenant can be one
-// ConstraintMonitor (a single sequential WAL) or a ShardedMonitor (N
-// partitioned monitors behind a router and a cross-shard coordinator,
-// see src/shard) without the front-end knowing.
+// ConstraintMonitor or a ShardedMonitor (N partitioned monitors behind a
+// router and a cross-shard coordinator, see src/shard) without the
+// front-end knowing. Either owns at most one log (monitor/durable_log.h).
 //
 // The Violation and ConstraintStats value types live here too: they are
 // the interface's vocabulary, produced identically by every

@@ -1,10 +1,6 @@
 #include "server/server.h"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
 #include <atomic>
-#include <cerrno>
 #include <future>
 #include <optional>
 #include <utility>
@@ -322,23 +318,19 @@ Result<RticServer::Tenant*> RticServer::GetTenant(
     }
   }
 
-  // Construct outside mu_: tenant creation touches disk (WAL dir, monitor
-  // state) and must not stall the accept loop or other sessions' handshakes.
+  // Construct outside mu_: building a tenant's monitor (a sharded one
+  // builds every shard) must not stall the accept loop or other sessions'
+  // handshakes.
   MonitorOptions monitor_options = options_.monitor_options;
   auto tenant = std::make_unique<Tenant>(options_.queue_capacity);
   tenant->shard_count = shard_count;
   if (!monitor_options.wal_dir.empty()) {
+    // The tenant's log creates the directory at Recover().
     monitor_options.wal_dir += "/" + name;
-    if (::mkdir(monitor_options.wal_dir.c_str(), 0755) != 0 &&
-        errno != EEXIST) {
-      return Status::Internal("server: cannot create tenant wal dir " +
-                              monitor_options.wal_dir);
-    }
     tenant->durable = true;
   }
   if (shard_count > 0) {
-    // ShardedMonitor::Recover() creates the shard-<k> subdirectories
-    // under the tenant directory made above.
+    // A sharded tenant keeps its one log in the tenant directory too.
     RTIC_ASSIGN_OR_RETURN(
         tenant->monitor,
         shard::ShardedMonitor::Create(shard_count,

@@ -23,11 +23,11 @@
 // is stamped current_time + 1 by the worker at execution; the verdict
 // response carries the assigned timestamp.
 //
-// Durability. When monitor_options.wal_dir is set, each tenant logs to
-// <wal_dir>/<tenant>/ and the worker runs Recover() right before the
-// tenant's first batch — so tables and constraints registered earlier on
-// the session are covered. Register everything before the first ApplyBatch
-// on durable tenants.
+// Durability. When monitor_options.wal_dir is set, each tenant, sharded or
+// not, owns one log at <wal_dir>/<tenant>/ and the worker runs Recover()
+// right before the tenant's first batch — so tables and constraints
+// registered earlier on the session are covered. Register everything
+// before the first ApplyBatch on durable tenants.
 
 #ifndef RTIC_SERVER_SERVER_H_
 #define RTIC_SERVER_SERVER_H_
@@ -64,15 +64,15 @@ struct ServerOptions {
 
   /// Shards for tenants whose hello does not request a count (arg 0).
   /// 0 keeps the plain single ConstraintMonitor; N >= 1 gives new tenants
-  /// an N-shard ShardedMonitor (durable tenants then log under
-  /// <wal_dir>/<tenant>/shard-<k>). A hello may request its own count, up
+  /// an N-shard ShardedMonitor (a durable one still keeps one log at
+  /// <wal_dir>/<tenant>). A hello may request its own count, up
   /// to kMaxTenantShards; a nonzero request against an existing tenant
   /// must match how the tenant was created.
   std::size_t default_shard_count = 0;
 };
 
 /// Upper bound on a tenant's shard count (a hello requesting more is
-/// refused — shard directories and worker fan-out are per tenant).
+/// refused — shards and worker fan-out are per tenant).
 inline constexpr std::size_t kMaxTenantShards = 64;
 
 class RticServer {

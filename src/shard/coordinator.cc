@@ -37,44 +37,5 @@ bool MergeShardViolations(const std::string& name,
   return true;
 }
 
-Status CrossShardCoordinator::Activate(const std::vector<TableDef>& tables) {
-  if (monitor_ != nullptr) return Status::OK();
-  auto monitor = std::make_unique<ConstraintMonitor>(options_);
-  for (const TableDef& t : tables) {
-    RTIC_RETURN_IF_ERROR(monitor->CreateTable(t.name, t.schema));
-  }
-  monitor_ = std::move(monitor);
-  return Status::OK();
-}
-
-Status CrossShardCoordinator::Seed(
-    const std::vector<const Database*>& shard_dbs, Timestamp t) {
-  if (monitor_ == nullptr) {
-    return Status::FailedPrecondition("coordinator not active");
-  }
-  if (!monitor_->ConstraintNames().empty()) {
-    return Status::Internal(
-        "coordinator seeding must precede constraint registration");
-  }
-  UpdateBatch seed(t);
-  for (const Database* db : shard_dbs) {
-    for (const std::string& table : db->TableNames()) {
-      RTIC_ASSIGN_OR_RETURN(const Table* rows, db->GetTable(table));
-      for (const Tuple& row : rows->rows()) {
-        seed.Insert(table, row);
-      }
-    }
-  }
-  return monitor_->ApplyUpdate(seed).status();
-}
-
-Status CrossShardCoordinator::CreateTable(const std::string& name,
-                                          Schema schema) {
-  if (monitor_ == nullptr) {
-    return Status::FailedPrecondition("coordinator not active");
-  }
-  return monitor_->CreateTable(name, std::move(schema));
-}
-
 }  // namespace shard
 }  // namespace rtic

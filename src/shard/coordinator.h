@@ -1,21 +1,25 @@
-// CrossShardCoordinator: the full-stream fallback for constraints the
-// classifier cannot prove partition-local.
+// The cross-shard coordinator: the full-stream fallback for constraints
+// the classifier cannot prove partition-local.
 //
-// The coordinator wraps one ordinary ConstraintMonitor that sees EVERY
+// The coordinator is one ordinary ConstraintMonitor, owned by the
+// ShardedMonitor, that sees EVERY
 // transition unrouted (the whole batch, every tick), so a cross-shard
 // constraint checks against exactly the state an unsharded monitor would
 // hold. It is lazily activated: a sharded monitor whose constraints all
 // classify partition-local never constructs it and pays zero coordinator
-// overhead (no duplicate WAL, no shadow database).
+// overhead (no shadow database, no share of the checkpoint). It is always
+// in-memory: a durable sharded monitor logs every batch once, for the
+// shards and the coordinator together, and checkpoints the coordinator's
+// state inside its own.
 //
 // Late activation (first cross-shard constraint registered after updates
 // have been applied, in-memory mode only) seeds the coordinator's
 // database with the union of the shard databases via one synthetic batch
 // at the current timestamp — after which registering the constraint sees
 // precisely what an unsharded monitor would show a late-registered
-// constraint: the current state, an empty temporal past. A durable
-// coordinator cannot be seeded this way (its WAL must cover its state),
-// so durable sharded monitors require cross-shard constraints to be
+// constraint: the current state, an empty temporal past. The tenant's log
+// does not hold that seed batch, so no recovery could reproduce it, and
+// durable sharded monitors require cross-shard constraints to be
 // registered before Recover().
 //
 // This header also hosts the deterministic violation merge: the function
@@ -29,20 +33,10 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "monitor/monitor.h"
-#include "storage/database.h"
 
 namespace rtic {
 namespace shard {
-
-/// A table known to the sharded monitor (replayed into the coordinator
-/// at activation).
-struct TableDef {
-  std::string name;
-  Schema schema;
-  std::size_t key_column = 0;
-};
 
 /// Merges one partition-local constraint's per-shard violations (the
 /// entries named `name` in each shard's report, if any) into the
@@ -55,39 +49,6 @@ struct TableDef {
 bool MergeShardViolations(const std::string& name,
                           const std::vector<std::vector<Violation>>& per_shard,
                           std::size_t max_witnesses, Violation* merged);
-
-/// The lazily constructed full-stream monitor for cross-shard
-/// constraints.
-class CrossShardCoordinator {
- public:
-  /// `options` configure the inner monitor when it is activated. The
-  /// caller pre-rewrites wal_dir (empty, or `<root>/shard-coord`).
-  explicit CrossShardCoordinator(MonitorOptions options)
-      : options_(std::move(options)) {}
-
-  bool active() const { return monitor_ != nullptr; }
-
-  /// The inner monitor; nullptr until Activate().
-  ConstraintMonitor* monitor() { return monitor_.get(); }
-  const ConstraintMonitor* monitor() const { return monitor_.get(); }
-
-  /// Constructs the inner monitor and declares `tables` in it. No-op
-  /// when already active.
-  Status Activate(const std::vector<TableDef>& tables);
-
-  /// In-memory late activation only: installs the union of the shard
-  /// databases as one batch at timestamp `t`, advancing the inner clock
-  /// to match the sharded monitor's. Must run before any cross-shard
-  /// constraint is registered (the seed batch must not be checked).
-  Status Seed(const std::vector<const Database*>& shard_dbs, Timestamp t);
-
-  /// Forwards a table created after activation.
-  Status CreateTable(const std::string& name, Schema schema);
-
- private:
-  MonitorOptions options_;
-  std::unique_ptr<ConstraintMonitor> monitor_;
-};
 
 }  // namespace shard
 }  // namespace rtic

@@ -1,57 +1,48 @@
 #include "shard/sharded_monitor.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <map>
 #include <optional>
 #include <utility>
 
-#include "common/logging.h"
+#include "common/compress.h"
+#include "monitor/durable_log.h"
 #include "shard/router.h"
+#include "storage/codec.h"
 #include "tl/parser.h"
 
 namespace rtic {
 namespace shard {
 namespace {
 
-Status MakeDir(const std::string& path) {
-  if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Internal("sharded monitor: cannot create directory " +
-                            path);
-  }
-  return Status::OK();
-}
+// docs/FORMATS.md §5.5. The inner payloads are RTICMON3 (monitor.cc).
+constexpr char kShardedMagic[] = "RTICSHD1";
+constexpr char kKindBase[] = "base";
+constexpr char kKindDelta[] = "delta";
 
-std::string ShardDir(const std::string& root, std::size_t k) {
-  return root + "/shard-" + std::to_string(k);
+/// Shards and the coordinator are in-memory and check their constraints
+/// serially: the sharded monitor owns the tenant's log and the fan-out.
+MonitorOptions InnerOptions(MonitorOptions options) {
+  options.num_threads = 1;
+  options.wal_dir.clear();
+  return options;
 }
 
 }  // namespace
 
 ShardedMonitor::ShardedMonitor(MonitorOptions options, std::size_t shard_count)
-    : options_(std::move(options)),
-      partitioner_(shard_count),
-      coordinator_([&] {
-        MonitorOptions coord = options_;
-        coord.num_threads = 1;
-        if (!coord.wal_dir.empty()) coord.wal_dir += "/shard-coord";
-        return coord;
-      }()) {
+    : options_(std::move(options)), partitioner_(shard_count) {
   shards_.reserve(shard_count);
   for (std::size_t k = 0; k < shard_count; ++k) {
-    MonitorOptions per_shard = options_;
-    per_shard.num_threads = 1;
-    if (!per_shard.wal_dir.empty()) {
-      per_shard.wal_dir = ShardDir(options_.wal_dir, k);
-    }
-    shards_.push_back(std::make_unique<ConstraintMonitor>(per_shard));
+    shards_.push_back(
+        std::make_unique<ConstraintMonitor>(InnerOptions(options_)));
   }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
   }
 }
+
+ShardedMonitor::~ShardedMonitor() = default;
 
 Result<std::unique_ptr<ShardedMonitor>> ShardedMonitor::Create(
     std::size_t shard_count, MonitorOptions options) {
@@ -65,8 +56,8 @@ Result<std::unique_ptr<ShardedMonitor>> ShardedMonitor::Create(
   }
   if (!options.replication_standby.empty()) {
     return Status::InvalidArgument(
-        "log-shipping replication is not supported on a sharded monitor; "
-        "ship each shard's directory individually");
+        "log-shipping replication is not supported on a sharded monitor "
+        "(a standby cannot promote a sharded mirror)");
   }
   return std::unique_ptr<ShardedMonitor>(
       new ShardedMonitor(std::move(options), shard_count));
@@ -87,28 +78,42 @@ Status ShardedMonitor::CreateTablePartitioned(const std::string& name,
   for (auto& shard : shards_) {
     RTIC_RETURN_IF_ERROR(shard->CreateTable(name, schema));
   }
-  if (coordinator_.active()) {
-    RTIC_RETURN_IF_ERROR(coordinator_.CreateTable(name, schema));
+  if (coordinator_ != nullptr) {
+    RTIC_RETURN_IF_ERROR(coordinator_->CreateTable(name, schema));
   }
-  tables_.push_back(TableDef{name, std::move(schema), key_column});
+  catalog_[name] = std::move(schema);
   return Status::OK();
 }
 
 Status ShardedMonitor::EnsureCoordinator() {
-  if (coordinator_.active()) return Status::OK();
-  if (durable() && recovered_) {
+  if (coordinator_ != nullptr) return Status::OK();
+  if (log_ != nullptr) {
     return Status::FailedPrecondition(
         "cross-shard constraints must be registered before Recover() on a "
-        "durable sharded monitor (the coordinator's WAL cannot adopt state "
-        "it never logged)");
+        "durable sharded monitor (a coordinator brought up later starts "
+        "from a seed transition the tenant's log does not hold)");
   }
-  RTIC_RETURN_IF_ERROR(coordinator_.Activate(tables_));
-  if (!durable() && transition_count_ > 0) {
-    std::vector<const Database*> dbs;
-    dbs.reserve(shards_.size());
-    for (const auto& shard : shards_) dbs.push_back(&shard->database());
-    RTIC_RETURN_IF_ERROR(coordinator_.Seed(dbs, current_time_));
+  auto coordinator =
+      std::make_unique<ConstraintMonitor>(InnerOptions(options_));
+  for (const auto& [table, schema] : catalog_) {
+    RTIC_RETURN_IF_ERROR(coordinator->CreateTable(table, schema));
   }
+  if (transition_count_ > 0) {
+    // Seeded before any constraint is registered on it, so the seed is
+    // not checked: a late constraint sees the current state and an empty
+    // past, as on an unsharded monitor.
+    UpdateBatch seed(current_time_);
+    for (const auto& shard : shards_) {
+      const Database& db = shard->database();
+      for (const std::string& table : db.TableNames()) {
+        for (const Tuple& row : db.GetTable(table).value()->rows()) {
+          seed.Insert(table, row);
+        }
+      }
+    }
+    RTIC_RETURN_IF_ERROR(coordinator->ApplyUpdate(seed).status());
+  }
+  coordinator_ = std::move(coordinator);
   return Status::OK();
 }
 
@@ -121,9 +126,8 @@ Status ShardedMonitor::RegisterConstraint(const std::string& name,
   }
   RTIC_ASSIGN_OR_RETURN(tl::FormulaPtr formula, tl::ParseFormula(text));
 
-  tl::PredicateCatalog catalog;
-  for (const TableDef& t : tables_) catalog[t.name] = t.schema;
-  RTIC_ASSIGN_OR_RETURN(tl::Analysis analysis, tl::Analyze(*formula, catalog));
+  RTIC_ASSIGN_OR_RETURN(tl::Analysis analysis,
+                        tl::Analyze(*formula, catalog_));
   if (!analysis.IsClosed(*formula)) {
     return Status::InvalidArgument("constraint '" + name +
                                    "' must be a closed formula");
@@ -137,8 +141,7 @@ Status ShardedMonitor::RegisterConstraint(const std::string& name,
     }
   } else {
     RTIC_RETURN_IF_ERROR(EnsureCoordinator());
-    RTIC_RETURN_IF_ERROR(coordinator_.monitor()->RegisterConstraint(name,
-                                                                    text));
+    RTIC_RETURN_IF_ERROR(coordinator_->RegisterConstraint(name, text));
   }
   entries_.push_back(Entry{name, std::move(cls), 0, 0});
   return Status::OK();
@@ -152,7 +155,7 @@ Status ShardedMonitor::UnregisterConstraint(const std::string& name) {
         RTIC_RETURN_IF_ERROR(shard->UnregisterConstraint(name));
       }
     } else {
-      RTIC_RETURN_IF_ERROR(coordinator_.monitor()->UnregisterConstraint(name));
+      RTIC_RETURN_IF_ERROR(coordinator_->UnregisterConstraint(name));
     }
     entries_.erase(it);
     return Status::OK();
@@ -165,109 +168,31 @@ Result<wal::RecoveryStats> ShardedMonitor::Recover() {
     return Status::FailedPrecondition(
         "Recover() requires MonitorOptions::wal_dir");
   }
-  if (recovered_) {
+  if (log_ != nullptr) {
     return Status::FailedPrecondition("Recover() already ran");
   }
   if (transition_count_ > 0) {
     return Status::FailedPrecondition(
         "Recover() must run before the first update");
   }
-  RTIC_RETURN_IF_ERROR(MakeDir(options_.wal_dir));
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    RTIC_RETURN_IF_ERROR(MakeDir(ShardDir(options_.wal_dir, k)));
+  if (options_.checkpoint_delta_chain > 0) {
+    for (ConstraintMonitor* m : Inners()) m->BeginDeltaTracking();
   }
-  if (coordinator_.active()) {
-    RTIC_RETURN_IF_ERROR(MakeDir(options_.wal_dir + "/shard-coord"));
-  }
-
-  std::vector<ConstraintMonitor*> inners;
-  for (auto& shard : shards_) inners.push_back(shard.get());
-  if (coordinator_.active()) inners.push_back(coordinator_.monitor());
-
-  wal::RecoveryStats merged;
-  for (ConstraintMonitor* m : inners) {
-    RTIC_ASSIGN_OR_RETURN(wal::RecoveryStats s, m->Recover());
-    merged.checkpoint_seq = std::max(merged.checkpoint_seq, s.checkpoint_seq);
-    merged.last_seq = std::max(merged.last_seq, s.last_seq);
-    merged.replayed_batches += s.replayed_batches;
-    merged.tail_damaged = merged.tail_damaged || s.tail_damaged;
-    merged.truncated_bytes += s.truncated_bytes;
-    merged.removed_files += s.removed_files;
-    merged.checkpoint_chain =
-        std::max(merged.checkpoint_chain, s.checkpoint_chain);
-  }
-
-  // Clock reconciliation: a crash between per-shard WAL commits leaves
-  // laggards one transition behind. Tick them forward so metric temporal
-  // operators agree on the clock again; the caught-up tick's verdicts are
-  // dropped (the leading shards reported that transition before the
-  // crash).
-  Timestamp max_time = 0;
-  for (ConstraintMonitor* m : inners) {
-    max_time = std::max(max_time, m->current_time());
-  }
-  for (ConstraintMonitor* m : inners) {
-    if (m->current_time() == max_time) continue;
-    RTIC_LOG(Warning) << "sharded recovery: inner monitor at t="
-                      << m->current_time() << " lags the fleet at t="
-                      << max_time << " (torn cross-shard write); ticking "
-                      << "forward";
-    RTIC_RETURN_IF_ERROR(m->Tick(max_time).status());
-  }
-  current_time_ = max_time;
-  transition_count_ = 0;
-  for (ConstraintMonitor* m : inners) {
-    transition_count_ = std::max(transition_count_, m->transition_count());
-  }
-
-  // Reconstruct merged per-constraint counters. A shard counts the
-  // transitions at which IT saw a violation; the merged count is the
-  // number of transitions at which ANY shard did — not recoverable
-  // exactly from per-shard totals, so take the max (a lower bound; the
-  // coordinator's counters are exact).
-  std::vector<std::map<std::string, ConstraintStats>> shard_stats;
-  for (const auto& shard : shards_) {
-    std::map<std::string, ConstraintStats> by_name;
-    for (ConstraintStats& s : shard->Stats()) by_name[s.name] = s;
-    shard_stats.push_back(std::move(by_name));
-  }
-  std::map<std::string, ConstraintStats> coord_stats;
-  if (coordinator_.active()) {
-    for (ConstraintStats& s : coordinator_.monitor()->Stats()) {
-      coord_stats[s.name] = s;
-    }
-  }
-  total_violations_ = 0;
-  for (Entry& e : entries_) {
-    e.transitions = 0;
-    e.violations = 0;
-    if (e.cls.local()) {
-      for (const auto& by_name : shard_stats) {
-        auto it = by_name.find(e.name);
-        if (it == by_name.end()) continue;
-        e.transitions = std::max(e.transitions, it->second.transitions);
-        e.violations = std::max(e.violations, it->second.violations);
-      }
-    } else {
-      auto it = coord_stats.find(e.name);
-      if (it != coord_stats.end()) {
-        e.transitions = it->second.transitions;
-        e.violations = it->second.violations;
-      }
-    }
-    total_violations_ += e.violations;
-  }
-
-  recovered_ = true;
-  return merged;
+  RTIC_ASSIGN_OR_RETURN(log_, DurableLog::Open(options_, this));
+  return log_->recovery_stats();
 }
 
 Result<std::vector<Violation>> ShardedMonitor::ApplyUpdate(
     const UpdateBatch& batch) {
-  if (durable() && !recovered_) {
+  if (durable() && log_ == nullptr) {
     return Status::FailedPrecondition(
         "durable monitor: call Recover() before applying updates");
   }
+  return Commit(batch, log_.get());
+}
+
+Result<std::vector<Violation>> ShardedMonitor::Commit(const UpdateBatch& batch,
+                                                      DurableLog* log) {
   if (batch.timestamp() <= current_time_) {
     return Status::InvalidArgument(
         "batch timestamp " + std::to_string(batch.timestamp()) +
@@ -278,14 +203,18 @@ Result<std::vector<Violation>> ShardedMonitor::ApplyUpdate(
   RTIC_RETURN_IF_ERROR(batch.Validate(shards_[0]->database()));
   RTIC_ASSIGN_OR_RETURN(std::vector<UpdateBatch> routed,
                         RouteBatch(batch, partitioner_));
+  // The tenant's one log holds the batch unrouted, before any shard
+  // applies it: a crash from here on leaves it on every shard or none.
+  if (log != nullptr) RTIC_RETURN_IF_ERROR(log->Append(batch));
 
-  const std::size_t tasks = shards_.size() + (coordinator_.active() ? 1 : 0);
+  const std::size_t tasks =
+      shards_.size() + (coordinator_ != nullptr ? 1 : 0);
   std::vector<std::optional<Result<std::vector<Violation>>>> results(tasks);
   auto run = [&](std::size_t i) {
     if (i < shards_.size()) {
       results[i] = shards_[i]->ApplyUpdate(routed[i]);
     } else {
-      results[i] = coordinator_.monitor()->ApplyUpdate(batch);
+      results[i] = coordinator_->ApplyUpdate(batch);
     }
   };
   if (pool_ != nullptr) {
@@ -306,7 +235,7 @@ Result<std::vector<Violation>> ShardedMonitor::ApplyUpdate(
     shard_reports.push_back(std::move(*results[k]).value());
   }
   std::vector<Violation> coord_report;
-  if (coordinator_.active()) {
+  if (coordinator_ != nullptr) {
     coord_report = std::move(*results.back()).value();
   }
 
@@ -331,6 +260,7 @@ Result<std::vector<Violation>> ShardedMonitor::ApplyUpdate(
       }
     }
   }
+  if (log != nullptr) log->CheckpointIfDue();
   return out;
 }
 
@@ -353,8 +283,8 @@ std::vector<ConstraintStats> ShardedMonitor::Stats() const {
     shard_stats.push_back(std::move(by_name));
   }
   std::map<std::string, ConstraintStats> coord_stats;
-  if (coordinator_.active()) {
-    for (ConstraintStats& s : coordinator_.monitor()->Stats()) {
+  if (coordinator_ != nullptr) {
+    for (ConstraintStats& s : coordinator_->Stats()) {
       coord_stats[s.name] = s;
     }
   }
@@ -407,8 +337,8 @@ std::vector<ConstraintStats> ShardedMonitor::Stats() const {
 std::size_t ShardedMonitor::TotalStorageRows() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->TotalStorageRows();
-  if (coordinator_.active()) {
-    total += coordinator_.monitor()->TotalStorageRows();
+  if (coordinator_ != nullptr) {
+    total += coordinator_->TotalStorageRows();
   }
   return total;
 }
@@ -431,6 +361,170 @@ double ShardedMonitor::PartitionLocalFraction() const {
   if (entries_.empty()) return 1.0;
   return static_cast<double>(PartitionLocalCount()) /
          static_cast<double>(entries_.size());
+}
+
+std::vector<ConstraintMonitor*> ShardedMonitor::Inners() const {
+  std::vector<ConstraintMonitor*> out;
+  out.reserve(shards_.size() + 1);
+  for (const auto& shard : shards_) out.push_back(shard.get());
+  if (coordinator_ != nullptr) out.push_back(coordinator_.get());
+  return out;
+}
+
+Result<std::string> ShardedMonitor::Serialize(
+    bool delta,
+    const std::function<Result<std::string>(ConstraintMonitor*)>& inner)
+    const {
+  StateWriter w;
+  w.WriteString(kShardedMagic);
+  w.WriteString(delta ? kKindDelta : kKindBase);
+  w.WriteSize(shards_.size());
+  const std::vector<std::string> tables = partitioner_.TableNames();
+  w.WriteSize(tables.size());
+  for (const std::string& table : tables) {
+    w.WriteString(table);
+    w.WriteSize(partitioner_.KeyColumn(table).value());
+  }
+  w.WriteSize(transition_count_);
+  w.WriteInt(current_time_);
+  w.WriteSize(total_violations_);
+  w.WriteSize(entries_.size());
+  for (const Entry& e : entries_) {
+    w.WriteString(e.name);
+    w.WriteSize(e.transitions);
+    w.WriteSize(e.violations);
+  }
+  w.WriteSize(coordinator_ != nullptr ? 1 : 0);
+  for (ConstraintMonitor* m : Inners()) {
+    RTIC_ASSIGN_OR_RETURN(std::string payload, inner(m));
+    w.WriteString(payload);
+  }
+  return w.str();
+}
+
+Result<std::string> ShardedMonitor::SaveState() const {
+  return Serialize(/*delta=*/false,
+                   [](ConstraintMonitor* m) { return m->SaveState(); });
+}
+
+Result<std::string> ShardedMonitor::CaptureCheckpoint() {
+  RTIC_ASSIGN_OR_RETURN(std::string payload, SaveState());
+  if (options_.checkpoint_delta_chain > 0) {
+    for (ConstraintMonitor* m : Inners()) m->BeginDeltaTracking();
+  }
+  return payload;
+}
+
+Result<std::string> ShardedMonitor::CaptureCheckpointDelta() {
+  return Serialize(/*delta=*/true,
+                   [](ConstraintMonitor* m) { return m->SaveStateDelta(); });
+}
+
+Status ShardedMonitor::Restore(const std::string& data, bool delta) {
+  const std::string* payload = &data;
+  std::string decompressed;
+  if (LooksCompressed(data)) {
+    RTIC_ASSIGN_OR_RETURN(decompressed, Decompress(data));
+    payload = &decompressed;
+  }
+  StateReader r(*payload);
+  RTIC_ASSIGN_OR_RETURN(std::string magic, r.ReadString());
+  if (magic == "RTICMON3" || magic == "RTICMON2") {
+    return Status::FailedPrecondition(
+        "checkpoint was written by an unsharded monitor");
+  }
+  if (magic != kShardedMagic) {
+    return Status::InvalidArgument("not an rtic sharded monitor checkpoint");
+  }
+  const std::string kind = delta ? kKindDelta : kKindBase;
+  RTIC_ASSIGN_OR_RETURN(std::string got_kind, r.ReadString());
+  if (got_kind != kind) {
+    return Status::InvalidArgument("expected a " + kind +
+                                   " checkpoint, got kind '" + got_kind +
+                                   "'");
+  }
+
+  // Configuration: everything the registration must reproduce.
+  RTIC_ASSIGN_OR_RETURN(std::int64_t shard_count, r.ReadInt());
+  if (shard_count != static_cast<std::int64_t>(shards_.size())) {
+    return Status::FailedPrecondition(
+        "checkpoint was written with " + std::to_string(shard_count) +
+        " shards; this monitor has " + std::to_string(shards_.size()));
+  }
+  const std::vector<std::string> tables = partitioner_.TableNames();
+  RTIC_ASSIGN_OR_RETURN(std::int64_t table_count, r.ReadInt());
+  if (table_count != static_cast<std::int64_t>(tables.size())) {
+    return Status::FailedPrecondition(
+        "checkpoint table count does not match the registered tables");
+  }
+  for (const std::string& table : tables) {
+    RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
+    RTIC_ASSIGN_OR_RETURN(std::int64_t key_column, r.ReadInt());
+    if (name != table ||
+        key_column !=
+            static_cast<std::int64_t>(partitioner_.KeyColumn(table).value())) {
+      return Status::FailedPrecondition(
+          "checkpoint partitions table " + name + " on column " +
+          std::to_string(key_column) +
+          ", which does not match the registered partition keys");
+    }
+  }
+  RTIC_ASSIGN_OR_RETURN(std::int64_t transition_count, r.ReadInt());
+  RTIC_ASSIGN_OR_RETURN(Timestamp current_time, r.ReadInt());
+  RTIC_ASSIGN_OR_RETURN(std::int64_t total_violations, r.ReadInt());
+  if (transition_count < 0 || total_violations < 0) {
+    return Status::InvalidArgument("implausible counters in checkpoint");
+  }
+  RTIC_ASSIGN_OR_RETURN(std::int64_t entry_count, r.ReadInt());
+  if (entry_count != static_cast<std::int64_t>(entries_.size())) {
+    return Status::FailedPrecondition(
+        "checkpoint constraint count does not match registration");
+  }
+  std::vector<std::pair<std::int64_t, std::int64_t>> counters;
+  for (const Entry& e : entries_) {
+    RTIC_ASSIGN_OR_RETURN(std::string name, r.ReadString());
+    if (name != e.name) {
+      return Status::FailedPrecondition(
+          "checkpoint constraint order/name mismatch at '" + name + "'");
+    }
+    RTIC_ASSIGN_OR_RETURN(std::int64_t transitions, r.ReadInt());
+    RTIC_ASSIGN_OR_RETURN(std::int64_t violations, r.ReadInt());
+    if (transitions < 0 || violations < 0 || violations > transitions) {
+      return Status::InvalidArgument(
+          "implausible constraint counters in checkpoint for '" + name + "'");
+    }
+    counters.emplace_back(transitions, violations);
+  }
+  RTIC_ASSIGN_OR_RETURN(std::int64_t coordinator, r.ReadInt());
+  if ((coordinator != 0) != (coordinator_ != nullptr)) {
+    return Status::FailedPrecondition(
+        "checkpoint's cross-shard coordinator does not match registration");
+  }
+  const std::vector<ConstraintMonitor*> inners = Inners();
+  std::vector<std::string> blobs;
+  for (std::size_t i = 0; i < inners.size(); ++i) {
+    RTIC_ASSIGN_OR_RETURN(std::string blob, r.ReadString());
+    blobs.push_back(std::move(blob));
+  }
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes in sharded checkpoint");
+  }
+
+  // Validation done; each inner monitor validates and installs its own
+  // payload (shard 0 first, so a schema or constraint mismatch is refused
+  // before any shard changes), then the merged fields follow.
+  for (std::size_t i = 0; i < inners.size(); ++i) {
+    RTIC_RETURN_IF_ERROR(delta ? inners[i]->LoadStateDelta(blobs[i])
+                               : inners[i]->LoadState(blobs[i]));
+  }
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    entries_[i].transitions = static_cast<std::size_t>(counters[i].first);
+    entries_[i].violations = static_cast<std::size_t>(counters[i].second);
+  }
+  transition_count_ = static_cast<std::size_t>(transition_count);
+  current_time_ = current_time;
+  total_violations_ = static_cast<std::size_t>(total_violations);
+  return Status::OK();
 }
 
 }  // namespace shard

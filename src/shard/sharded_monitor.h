@@ -13,18 +13,15 @@
 // byte-identical to an unsharded ConstraintMonitor over the same history
 // (tests/sharded_monitor_test.cc proves this differentially).
 //
-// Durability: with MonitorOptions::wal_dir = <root>, shard k logs and
-// checkpoints under <root>/shard-<k> and the coordinator (if activated)
-// under <root>/shard-coord — N+1 independent WAL/checkpoint chains.
-// Recover() creates the directories, recovers every inner monitor, and
-// reconciles clocks: a crash inside ApplyUpdate can leave some shards
-// one transition ahead (each shard commits its own WAL; there is no
-// cross-shard atomic commit), in which case laggards are caught up with
-// a clock tick and the divergence is logged. Restrictions in durable
-// mode: cross-shard constraints must be registered before Recover()
-// (the coordinator's WAL cannot adopt state it never logged), and
-// replication_standby is rejected (ship each shard's directory
-// individually instead).
+// Durability: with MonitorOptions::wal_dir set, the sharded monitor owns
+// one DurableLog (monitor/durable_log.h), like an unsharded monitor: each
+// batch is logged unrouted, once, before the in-memory shards and
+// coordinator apply it, and each checkpoint is one RTICSHD1 payload
+// (docs/FORMATS.md §5.5). Restrictions in durable mode: cross-shard
+// constraints must be registered before Recover() (a coordinator brought
+// up later is seeded with a transition the log does not hold), and
+// replication_standby is rejected (a standby cannot yet promote a sharded
+// mirror).
 //
 // Threading: MonitorOptions::num_threads > 1 fans ApplyUpdate across the
 // shards (and the coordinator) on a pool; each inner monitor runs its
@@ -35,6 +32,7 @@
 #ifndef RTIC_SHARD_SHARDED_MONITOR_H_
 #define RTIC_SHARD_SHARDED_MONITOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,21 +44,25 @@
 #include "shard/classifier.h"
 #include "shard/coordinator.h"
 #include "shard/partitioner.h"
+#include "wal/recovery.h"
 
 namespace rtic {
+
+class DurableLog;
+
 namespace shard {
 
-class ShardedMonitor : public MonitorLike {
+class ShardedMonitor : public MonitorLike, private wal::ReplayTarget {
  public:
   /// Validates the configuration (1 <= shard_count <= 1024, no
   /// replication) and builds the shard fleet. `options` apply to every
-  /// shard except: wal_dir becomes `<wal_dir>/shard-<k>`, num_threads is
-  /// forced to 1 inside each shard (see header comment), and
-  /// replication_standby must be empty.
+  /// shard except: wal_dir is cleared (the sharded monitor owns the log),
+  /// num_threads is forced to 1 inside each shard (see header comment),
+  /// and replication_standby must be empty.
   static Result<std::unique_ptr<ShardedMonitor>> Create(
       std::size_t shard_count, MonitorOptions options = {});
 
-  ~ShardedMonitor() override = default;
+  ~ShardedMonitor() override;
 
   ShardedMonitor(const ShardedMonitor&) = delete;
   ShardedMonitor& operator=(const ShardedMonitor&) = delete;
@@ -76,19 +78,17 @@ class ShardedMonitor : public MonitorLike {
   Status RegisterConstraint(const std::string& name,
                             const std::string& text) override;
 
-  /// Durable mode only: recovers every shard (and the coordinator),
-  /// reconciling clocks after torn cross-shard writes. Merged per-
-  /// constraint violation counters are reconstructed as the max over
-  /// shards — a lower bound of the true merged count when one
-  /// transition's violations spanned shards (the coordinator's counters
-  /// are exact).
+  /// Durable mode only: restores the tenant's newest checkpoint chain
+  /// (shards, coordinator, clock and merged counters together) and replays
+  /// the log tail through the router. Same contract as
+  /// ConstraintMonitor::Recover(); another shard count or other key
+  /// columns are a registration mismatch.
   Result<wal::RecoveryStats> Recover() override;
 
   /// Routes the batch, applies every sub-batch (plus the full batch to
   /// the active coordinator) in lockstep, and merges the verdicts. The
-  /// batch is validated up front so an invalid batch touches no shard;
-  /// in durable mode a shard's WAL failure can still leave earlier
-  /// shards one transition ahead (reconciled by Recover()).
+  /// batch is validated, and in durable mode logged, before any shard
+  /// applies it.
   Result<std::vector<Violation>> ApplyUpdate(const UpdateBatch& batch) override;
 
   Result<std::vector<Violation>> Tick(Timestamp t) override;
@@ -105,6 +105,12 @@ class ShardedMonitor : public MonitorLike {
 
   std::size_t TotalStorageRows() const override;
 
+  /// Serializes the whole sharded monitor as one RTICSHD1 base checkpoint
+  /// (docs/FORMATS.md §5.5), the payload Recover() restores. Fails with
+  /// Unimplemented when a shard cannot checkpoint (see
+  /// ConstraintMonitor::SaveState()).
+  Result<std::string> SaveState() const;
+
   // ---- sharding surface -------------------------------------------------
 
   /// CreateTable with an explicit partition key column.
@@ -120,7 +126,7 @@ class ShardedMonitor : public MonitorLike {
   const ConstraintMonitor& shard(std::size_t k) const { return *shards_[k]; }
 
   /// True once a cross-shard constraint forced the coordinator up.
-  bool coordinator_active() const { return coordinator_.active(); }
+  bool coordinator_active() const { return coordinator_ != nullptr; }
 
   /// How `name` classified at registration.
   Result<Classification> ClassificationFor(const std::string& name) const;
@@ -145,21 +151,55 @@ class ShardedMonitor : public MonitorLike {
   bool durable() const { return !options_.wal_dir.empty(); }
 
   /// Brings the coordinator up (first cross-shard registration), seeding
-  /// it from the shard databases when updates already ran (in-memory
-  /// mode only).
+  /// it with the union of the shard databases as one batch at the current
+  /// timestamp when updates already ran (in-memory mode only).
   Status EnsureCoordinator();
 
-  MonitorOptions options_;  // wal_dir is the ROOT directory
+  /// The shards, then the coordinator when active.
+  std::vector<ConstraintMonitor*> Inners() const;
+
+  /// ApplyUpdate's work, logging to `log` when non-null (replay passes
+  /// none) and writing the periodic checkpoint when due.
+  Result<std::vector<Violation>> Commit(const UpdateBatch& batch,
+                                        DurableLog* log);
+
+  /// One RTICSHD1 base or delta payload around `inner(m)` for each of
+  /// Inners().
+  Result<std::string> Serialize(
+      bool delta,
+      const std::function<Result<std::string>(ConstraintMonitor*)>& inner)
+      const;
+
+  /// Parses and validates an RTICSHD1 base or delta payload, then installs
+  /// it (each inner payload through LoadState or LoadStateDelta). A
+  /// payload written under another registration is FailedPrecondition and
+  /// changes nothing.
+  Status Restore(const std::string& data, bool delta);
+
+  // wal::ReplayTarget, driven by log_ during Recover() and at checkpoints.
+  Status RestoreCheckpoint(const std::string& payload) override {
+    return Restore(payload, /*delta=*/false);
+  }
+  Status RestoreCheckpointDelta(const std::string& payload) override {
+    return Restore(payload, /*delta=*/true);
+  }
+  Status Replay(const UpdateBatch& batch) override {
+    return Commit(batch, nullptr).status();
+  }
+  Result<std::string> CaptureCheckpoint() override;
+  Result<std::string> CaptureCheckpointDelta() override;
+
+  MonitorOptions options_;
   Partitioner partitioner_;
-  std::vector<TableDef> tables_;
+  tl::PredicateCatalog catalog_;  // every table's schema
   std::vector<std::unique_ptr<ConstraintMonitor>> shards_;
-  CrossShardCoordinator coordinator_;
+  std::unique_ptr<ConstraintMonitor> coordinator_;  // null until needed
   std::unique_ptr<ThreadPool> pool_;  // non-null iff num_threads > 1
   std::vector<Entry> entries_;        // registration order
   Timestamp current_time_ = 0;
   std::size_t transition_count_ = 0;
   std::size_t total_violations_ = 0;
-  bool recovered_ = false;
+  std::unique_ptr<DurableLog> log_;  // non-null once Recover() succeeded
 };
 
 }  // namespace shard

@@ -43,7 +43,10 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
   RTIC_RETURN_IF_ERROR(fs->CreateDir(options.dir));
   std::unique_ptr<RecoveryManager> mgr(new RecoveryManager(fs, options));
 
-  // Interrupted checkpoint writes never got renamed into place; drop them.
+  RTIC_RETURN_IF_ERROR(mgr->RestoreLatestCheckpoint(target));
+
+  // Interrupted checkpoint writes never got renamed into place; drop them
+  // (after the restore, so a refused checkpoint leaves them in place too).
   RTIC_ASSIGN_OR_RETURN(std::vector<std::string> names,
                         fs->ListDir(options.dir));
   for (const std::string& name : names) {
@@ -53,7 +56,6 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
     }
   }
 
-  RTIC_RETURN_IF_ERROR(mgr->RestoreLatestCheckpoint(target));
   RTIC_RETURN_IF_ERROR(mgr->ReplayTail(target));
 
   WalWriter::Options writer_options;
@@ -203,13 +205,22 @@ Status RecoveryManager::RestoreLatestCheckpoint(ReplayTarget* target) {
     // Install: base first, then deltas ascending. A target-level rejection
     // (e.g. a delta chaining to a different logical state) evicts that file
     // and restarts; the retried chain re-installs its base from scratch, so
-    // partial progress here cannot leak into the next attempt.
+    // partial progress here cannot leak into the next attempt. A base the
+    // target refuses as another registration's is not damage: evicting it
+    // would silently drop every transition it covers.
     bool rejected = false;
     for (std::size_t k = chain.size(); k-- > 0;) {
       const CkptEntry& e = entries[chain[k]];
       Status s = e.is_delta
                      ? target->RestoreCheckpointDelta(payloads[k])
                      : target->RestoreCheckpoint(payloads[k]);
+      if (!e.is_delta && s.code() == StatusCode::kFailedPrecondition) {
+        return Status::FailedPrecondition(
+            "checkpoint " + options_.dir + "/" + e.name +
+            " does not match this monitor's registration (" + s.message() +
+            "); restart with the tables, constraints and shard count that "
+            "wrote it");
+      }
       if (!s.ok()) {
         RTIC_RETURN_IF_ERROR(RemoveCheckpointFile(e.name, s.message()));
         entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(chain[k]));

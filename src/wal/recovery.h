@@ -1,9 +1,11 @@
-// RecoveryManager: the durability engine behind ConstraintMonitor.
+// RecoveryManager: the durability engine behind DurableLog
+// (monitor/durable_log.h), the one log a ConstraintMonitor or a
+// ShardedMonitor owns.
 //
 // Bounded history encoding (the paper's central property) makes the whole
 // checker state a small, self-contained blob, so durability is simply
 //
-//   checkpoint (one framed record = monitor SaveState)
+//   checkpoint (one framed record = the monitor's SaveState)
 //     + WAL tail (the UpdateBatches applied since that checkpoint)
 //
 // and recovery is O(checkpoint size + tail length) — never a replay of the
@@ -68,13 +70,19 @@ struct RecoveryStats {
                                       // 1 = base only, n = base + n-1 deltas)
 };
 
-/// What the RecoveryManager replays into. ConstraintMonitor adapts itself
-/// to this interface (see monitor.cc); tests use lightweight fakes.
+/// What the RecoveryManager replays into. ConstraintMonitor and
+/// ShardedMonitor implement it for their DurableLog; tests use lightweight
+/// fakes.
 class ReplayTarget {
  public:
   virtual ~ReplayTarget() = default;
 
-  /// Installs a base checkpoint payload (monitor LoadState).
+  /// Installs a base checkpoint payload (monitor LoadState). Return
+  /// FailedPrecondition only when the payload is well-formed but was
+  /// written under another registration (tables, schemas, constraints, or
+  /// a sharded payload's shard count or key columns): Open() then fails
+  /// with it and leaves every file in place. Any other error marks the
+  /// file damaged, and Open() evicts it and falls back to an older chain.
   virtual Status RestoreCheckpoint(const std::string& payload) = 0;
 
   /// Applies a delta checkpoint payload on top of the state installed by
@@ -90,9 +98,18 @@ class ReplayTarget {
   /// Re-applies one logged batch (monitor ApplyUpdate, checks included).
   virtual Status Replay(const UpdateBatch& batch) = 0;
 
-  /// Serializes the current state (monitor SaveState) — used to re-anchor
-  /// the log with a fresh checkpoint after a damaged tail was truncated.
+  /// Serializes the current state (monitor SaveState) and makes it the
+  /// baseline of the next CaptureCheckpointDelta(). Open() uses it to
+  /// re-anchor the log after a damaged tail was truncated.
   virtual Result<std::string> CaptureCheckpoint() = 0;
+
+  /// Serializes what changed since the last capture or restore (monitor
+  /// SaveStateDelta) and makes the current state the new baseline. Targets
+  /// that never write delta checkpoints can keep the default.
+  virtual Result<std::string> CaptureCheckpointDelta() {
+    return Status::Unimplemented(
+        "this ReplayTarget does not support delta checkpoints");
+  }
 };
 
 class RecoveryManager {
@@ -100,7 +117,9 @@ class RecoveryManager {
   /// Runs recovery against `target` and returns a manager ready to append.
   /// Corrupt checkpoints and torn/corrupt WAL tails are repaired (removed or
   /// truncated, with a warning log), not errors; a sequence gap between the
-  /// checkpoint and the first surviving WAL record is FailedPrecondition.
+  /// checkpoint and the first surviving WAL record is FailedPrecondition,
+  /// and so is a base checkpoint the target refuses as written under
+  /// another registration (nothing is removed then).
   static Result<std::unique_ptr<RecoveryManager>> Open(
       const WalOptions& options, ReplayTarget* target);
 
@@ -160,7 +179,8 @@ class RecoveryManager {
 
   /// Restores the newest checkpoint chain (base + deltas) whose files all
   /// validate into `target`; removes files that fail validation or whose
-  /// parent link is broken, falling back to older chains.
+  /// parent link is broken, falling back to older chains. A base the
+  /// target refuses with FailedPrecondition fails the restore instead.
   Status RestoreLatestCheckpoint(ReplayTarget* target);
 
   /// Logs `reason`, unlinks checkpoint file `name`, counts the removal.

@@ -14,11 +14,15 @@
 // monitor logs and retries instead of failing the batch — then the run
 // completes without a crash and every batch must be acked.
 //
-// The matrix runs twice: once on the direct kAlways path and once with
-// group commit enabled, so the shared-fsync path faces the same exhaustive
-// fault sweep. This is the subsystem's end-to-end correctness argument: no
-// fault point loses an acked batch, resurrects an unacked one, or perturbs
-// checking.
+// The matrix runs on the direct kAlways path and with group commit
+// enabled, so the shared-fsync path faces the same exhaustive fault sweep.
+// This is the subsystem's end-to-end correctness argument: no fault point
+// loses an acked batch, resurrects an unacked one, or perturbs checking.
+//
+// A sharded tenant faces the same sweep: a durable 4-shard library run owns
+// one log and one checkpoint chain, so after every fault the recovered
+// verdicts and merged counters must equal the uninterrupted *unsharded*
+// run's, and the final sharded checkpoint the uninterrupted sharded run's.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "monitor/monitor.h"
+#include "shard/sharded_monitor.h"
 #include "tests/test_util.h"
 #include "wal/file.h"
 #include "workload/generators.h"
@@ -219,6 +224,141 @@ TEST(CrashMatrixTest, ShortChainCompressedEveryFaultPointRecoversExactly) {
   params.checkpoint_delta_chain = 2;
   params.checkpoint_compression = true;
   RunCrashMatrix(params);
+}
+
+// ---- the sharded matrix ------------------------------------------------
+
+std::unique_ptr<shard::ShardedMonitor> MakeShardedMonitor(
+    const workload::Workload& wl, const std::string& dir, wal::Fs* fs) {
+  MonitorOptions options;
+  options.wal_dir = dir;
+  options.sync_policy = wal::SyncPolicy::kAlways;
+  // A checkpoint every 5 batches with chains of at most 2 deltas: base
+  // writes, delta writes and the GC after each base all face the sweep.
+  options.checkpoint_interval = 5;
+  options.checkpoint_delta_chain = 2;
+  options.wal_fs = fs;
+  auto monitor = Unwrap(shard::ShardedMonitor::Create(4, std::move(options)));
+  for (const auto& [name, schema] : wl.schema) {
+    RTIC_EXPECT_OK(monitor->CreateTable(name, schema));
+  }
+  for (const auto& [name, text] : wl.constraints) {
+    RTIC_EXPECT_OK(monitor->RegisterConstraint(name, text));
+  }
+  return monitor;
+}
+
+/// total_violations() and every constraint's transitions/violations pair.
+std::string Counters(const MonitorLike& monitor) {
+  std::string out = "total " + std::to_string(monitor.total_violations());
+  for (const ConstraintStats& s : monitor.Stats()) {
+    out += "; " + s.name + " " + std::to_string(s.transitions) + "/" +
+           std::to_string(s.violations);
+  }
+  return out;
+}
+
+TEST(CrashMatrixTest, ShardedEveryFaultPointRecoversExactly) {
+  workload::LibraryParams params;
+  params.num_patrons = 24;
+  params.num_books = 40;
+  params.length = 60;
+  params.nonmember_prob = 0.2;
+  params.seed = 17;
+  const workload::Workload wl = workload::MakeLibraryWorkload(params);
+
+  // The contract: the uninterrupted unsharded run's verdicts, and its
+  // counters after each prefix (counters[i] after i batches).
+  std::vector<std::string> reference_violations;
+  std::vector<std::string> reference_counters;
+  {
+    ConstraintMonitor monitor;
+    for (const auto& [name, schema] : wl.schema) {
+      RTIC_ASSERT_OK(monitor.CreateTable(name, schema));
+    }
+    for (const auto& [name, text] : wl.constraints) {
+      RTIC_ASSERT_OK(monitor.RegisterConstraint(name, text));
+    }
+    reference_counters.push_back(Counters(monitor));
+    for (const UpdateBatch& batch : wl.batches) {
+      reference_violations.push_back(
+          Render(Unwrap(monitor.ApplyUpdate(batch))));
+      reference_counters.push_back(Counters(monitor));
+    }
+  }
+  // The uninterrupted sharded run: its final checkpoint, and the number of
+  // mutating fs operations to attack.
+  std::string reference_state;
+  std::uint64_t total_ops = 0;
+  {
+    const std::string root = MakeTempDir();
+    wal::FaultInjectingFs fs(wal::DefaultFs(), /*trigger_op=*/0,
+                             wal::FaultKind::kFailWrite);
+    auto monitor = MakeShardedMonitor(wl, root + "/wal", &fs);
+    RTIC_ASSERT_OK(monitor->Recover().status());
+    for (std::size_t i = 0; i < wl.batches.size(); ++i) {
+      ASSERT_EQ(Render(Unwrap(monitor->ApplyUpdate(wl.batches[i]))),
+                reference_violations[i])
+          << "batch " << i;
+    }
+    std::size_t violating_shards = 0;
+    for (std::size_t k = 0; k < monitor->shard_count(); ++k) {
+      violating_shards += monitor->shard(k).total_violations() > 0 ? 1 : 0;
+    }
+    ASSERT_GE(violating_shards, 2u) << "violations must span shards";
+    reference_state = Unwrap(monitor->SaveState());
+    total_ops = fs.ops();
+    std::filesystem::remove_all(root);
+  }
+  ASSERT_GT(total_ops, 2 * wl.batches.size())
+      << "kAlways must append and sync every batch";
+
+  const std::uint64_t stride = MatrixStride();
+  for (std::uint64_t trigger = 1; trigger <= total_ops; trigger += stride) {
+    const wal::FaultKind kind = static_cast<wal::FaultKind>(trigger % 3);
+    const std::string root = MakeTempDir();
+    const std::string dir = root + "/wal";
+    SCOPED_TRACE("trigger=" + std::to_string(trigger) +
+                 " kind=" + std::to_string(trigger % 3));
+
+    std::size_t acked = 0;
+    {
+      wal::FaultInjectingFs fs(wal::DefaultFs(), trigger, kind);
+      auto monitor = MakeShardedMonitor(wl, dir, &fs);
+      RTIC_ASSERT_OK(monitor->Recover().status());
+      bool crashed = false;
+      for (const UpdateBatch& batch : wl.batches) {
+        if (!monitor->ApplyUpdate(batch).ok()) {
+          crashed = true;
+          break;
+        }
+        ++acked;
+      }
+      if (!crashed) {
+        ASSERT_EQ(acked, wl.batches.size())
+            << "a run can only survive its fault if the fault hit a "
+               "retryable checkpoint write after the last batch was acked";
+      }
+    }
+
+    auto monitor = MakeShardedMonitor(wl, dir, nullptr);
+    wal::RecoveryStats stats = Unwrap(monitor->Recover());
+    const std::size_t recovered = monitor->transition_count();
+    ASSERT_TRUE(recovered == acked || recovered == acked + 1)
+        << "acked " << acked << " but recovered " << recovered
+        << " (checkpoint_seq " << stats.checkpoint_seq << ", last_seq "
+        << stats.last_seq << ")";
+    ASSERT_EQ(Counters(*monitor), reference_counters[recovered]);
+    for (std::size_t j = recovered; j < wl.batches.size(); ++j) {
+      ASSERT_EQ(Render(Unwrap(monitor->ApplyUpdate(wl.batches[j]))),
+                reference_violations[j])
+          << "batch " << j;
+      ASSERT_EQ(Counters(*monitor), reference_counters[j + 1])
+          << "batch " << j;
+    }
+    ASSERT_EQ(Unwrap(monitor->SaveState()), reference_state);
+    std::filesystem::remove_all(root);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Tests for monitor-wide checkpointing: database + clock + every checker's
 // state survive a save/restore round trip; continuation matches an
-// uninterrupted monitor; validation rejects mismatched monitors.
+// uninterrupted monitor; validation rejects mismatched monitors, and a
+// durable restart under a mismatched registration refuses to recover
+// instead of discarding the checkpoint.
 
 #include <gtest/gtest.h>
+
+#include <stdlib.h>
 
 #include "monitor/monitor.h"
 #include "tests/test_util.h"
@@ -181,6 +185,59 @@ TEST(MonitorCheckpointTest, MismatchedMonitorsRejected) {
   RTIC_ASSERT_OK(ok_monitor.LoadState(checkpoint));
   EXPECT_EQ(ok_monitor.current_time(), 1);
   EXPECT_TRUE(ok_monitor.database().GetTable("P").value()->Contains(T(I(1))));
+}
+
+// A durable payroll monitor restarted with one of its two constraints
+// unregistered must not take its checkpoint for damage: Recover() fails
+// with FailedPrecondition and every file stays byte-identical, so a later
+// restart with both constraints resumes at the old transition count.
+TEST(MonitorCheckpointTest, MismatchedRegistrationRefusesRecoveryKeepsFiles) {
+  workload::PayrollParams params;
+  params.num_employees = 20;
+  params.length = 100;
+  params.seed = 5;
+  const workload::Workload w = workload::MakePayrollWorkload(params);
+  ASSERT_EQ(w.constraints.size(), 2u);
+
+  char tmpl[] = "/tmp/rtic_monitor_checkpoint_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  MonitorOptions options;
+  options.wal_dir = std::string(tmpl) + "/wal";
+  options.checkpoint_interval = 16;  // a base and a chain of deltas
+  auto make = [&](std::size_t constraints) {
+    auto monitor = std::make_unique<ConstraintMonitor>(options);
+    for (const auto& [name, schema] : w.schema) {
+      RTIC_EXPECT_OK(monitor->CreateTable(name, schema));
+    }
+    for (std::size_t i = 0; i < constraints; ++i) {
+      RTIC_EXPECT_OK(monitor->RegisterConstraint(w.constraints[i].first,
+                                                 w.constraints[i].second));
+    }
+    return monitor;
+  };
+  std::size_t violations = 0;
+  {
+    auto monitor = make(2);
+    RTIC_ASSERT_OK(monitor->Recover().status());
+    for (const UpdateBatch& batch : w.batches) {
+      RTIC_ASSERT_OK(monitor->ApplyUpdate(batch).status());
+    }
+    ASSERT_GT(monitor->checkpoint_stats().bases, 0u);
+    ASSERT_GT(monitor->checkpoint_stats().deltas, 0u);
+    violations = monitor->total_violations();
+  }
+
+  const auto before = testing::DirSnapshot(options.wal_dir);
+  Result<wal::RecoveryStats> refused = make(1)->Recover();
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status().ToString();
+  EXPECT_TRUE(testing::DirSnapshot(options.wal_dir) == before)
+      << "a refused recovery must leave every file in place";
+
+  auto right = make(2);
+  RTIC_ASSERT_OK(right->Recover().status());
+  EXPECT_EQ(right->transition_count(), w.batches.size());
+  EXPECT_EQ(right->total_violations(), violations);
 }
 
 TEST(MonitorCheckpointTest, ResponseConstraintStateSurvives) {

@@ -6,10 +6,12 @@
 // workloads (alarm, payroll, library — nine constraints, including a
 // response constraint with delayed verdicts) are replayed through shard
 // counts N in {1, 2, 4} and diffed against the plain ConstraintMonitor,
-// in-memory, durable with a mid-stream crash/Recover(), with a cross-shard
-// constraint forcing the coordinator up, and with the parallel fan-out
-// enabled. A torn-write test advances one shard's WAL behind the sharded
-// monitor's back and checks Recover() reconciles the clocks.
+// in-memory, durable with a mid-stream crash/Recover() (serial and pooled
+// fan-out), with a cross-shard constraint forcing the coordinator up, and
+// with the parallel fan-out enabled. The durable tests also check that a
+// clean restart keeps the merged counters exact and that Recover() refuses,
+// changing no file, a checkpoint written with another shard count and the
+// per-shard directory layout of older releases.
 
 #include "shard/sharded_monitor.h"
 
@@ -18,6 +20,7 @@
 #include <stdlib.h>
 
 #include <cstddef>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -109,6 +112,9 @@ TEST(ShardedMonitorTest, DifferentialByteIdenticalInMemory) {
   }
 }
 
+// The tenant's one log is appended on the calling thread while a pool
+// fans the shards out, so the crash/recover differential runs both serial
+// and pooled.
 TEST(ShardedMonitorTest, DifferentialDurableCrashRecover) {
   workload::LibraryParams params;
   params.length = 80;
@@ -120,78 +126,160 @@ TEST(ShardedMonitorTest, DifferentialDurableCrashRecover) {
   SetupWorkload(reference.get(), w);
   const std::string expected = Transcript(reference.get(), w);
 
-  const std::string dir = MakeTempDir() + "/wal";
-  MonitorOptions options;
-  options.wal_dir = dir;
-  options.checkpoint_interval = 8;
+  for (std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    const std::string dir = MakeTempDir() + "/wal";
+    MonitorOptions options;
+    options.wal_dir = dir;
+    options.checkpoint_interval = 8;
+    options.num_threads = threads;
 
-  std::string transcript;
-  {
-    auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
-    SetupWorkload(sharded.get(), w);
-    RTIC_ASSERT_OK(sharded->Recover().status());
-    for (std::size_t i = 0; i < half; ++i) {
-      ApplyInto(sharded.get(), w.batches[i], &transcript);
+    std::string transcript;
+    {
+      auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
+      SetupWorkload(sharded.get(), w);
+      RTIC_ASSERT_OK(sharded->Recover().status());
+      for (std::size_t i = 0; i < half; ++i) {
+        ApplyInto(sharded.get(), w.batches[i], &transcript);
+      }
+      // Destroyed here without any shutdown protocol: the crash.
     }
-    // Destroyed here without any shutdown protocol: the crash.
-  }
-  {
-    auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
-    SetupWorkload(sharded.get(), w);
-    wal::RecoveryStats stats = Unwrap(sharded->Recover());
-    EXPECT_FALSE(stats.tail_damaged);
-    EXPECT_EQ(sharded->transition_count(), half);
-    for (std::size_t i = half; i < w.batches.size(); ++i) {
-      ApplyInto(sharded.get(), w.batches[i], &transcript);
+    {
+      auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
+      SetupWorkload(sharded.get(), w);
+      wal::RecoveryStats stats = Unwrap(sharded->Recover());
+      EXPECT_FALSE(stats.tail_damaged);
+      EXPECT_EQ(sharded->transition_count(), half);
+      for (std::size_t i = half; i < w.batches.size(); ++i) {
+        ApplyInto(sharded.get(), w.batches[i], &transcript);
+      }
+      EXPECT_EQ(sharded->total_violations(), reference->total_violations());
     }
-    EXPECT_EQ(sharded->total_violations(), reference->total_violations());
+    EXPECT_EQ(transcript, expected);
   }
-  EXPECT_EQ(transcript, expected);
 }
 
-// A crash between shard commits leaves the fleet's clocks torn. Simulated
-// by driving one shard's directory directly with a plain ConstraintMonitor
-// (exactly what the inner shard is) one transition further than the rest.
-TEST(ShardedMonitorTest, RecoverReconcilesTornClocks) {
+// The merged per-constraint counters are part of the tenant's checkpoint,
+// so stopping and restarting a durable sharded monitor keeps Stats() and
+// total_violations() equal to the unsharded monitor's at every cut point.
+TEST(ShardedMonitorTest, CleanRestartKeepsMergedCountersExact) {
+  workload::LibraryParams params;
+  params.length = 120;
+  params.nonmember_prob = 0.2;
+  const auto w = workload::MakeLibraryWorkload(params);
+  const std::size_t kRestartEvery = 7;  // 17 restarts, between checkpoints
+
+  auto reference = std::make_unique<ConstraintMonitor>();
+  SetupWorkload(reference.get(), w);
+  MonitorOptions options;
+  options.wal_dir = MakeTempDir() + "/wal";
+  options.checkpoint_interval = 10;
+
+  auto counters = [](const MonitorLike& m) {
+    std::string out = "total " + std::to_string(m.total_violations());
+    for (const ConstraintStats& s : m.Stats()) {
+      out += "; " + s.name + " " + std::to_string(s.transitions) + "/" +
+             std::to_string(s.violations);
+    }
+    return out;
+  };
+  std::string expected;
+  std::string actual;
+  std::size_t restarts = 0;
+  std::unique_ptr<ShardedMonitor> sharded;
+  for (std::size_t i = 0; i < w.batches.size(); ++i) {
+    if (i % kRestartEvery == 0) {
+      sharded.reset();
+      sharded = Unwrap(ShardedMonitor::Create(4, options));
+      SetupWorkload(sharded.get(), w);
+      RTIC_ASSERT_OK(sharded->Recover().status());
+      ASSERT_EQ(sharded->transition_count(), i);
+      EXPECT_EQ(counters(*sharded), counters(*reference)) << "restart at " << i;
+      restarts += i > 0 ? 1 : 0;
+    }
+    ApplyInto(reference.get(), w.batches[i], &expected);
+    ApplyInto(sharded.get(), w.batches[i], &actual);
+  }
+  EXPECT_EQ(restarts, 17u);
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(counters(*sharded), counters(*reference));
+  EXPECT_GT(reference->total_violations(), 0u);
+}
+
+// A checkpoint records the shard count it was written with. Reopening the
+// tenant with another count (or unsharded) must refuse and change no file;
+// the original count then resumes where the run stopped.
+TEST(ShardedMonitorTest, RecoverRefusesAnotherShardCount) {
+  workload::LibraryParams params;
+  params.length = 80;
+  const auto w = workload::MakeLibraryWorkload(params);
+  MonitorOptions options;
+  options.wal_dir = MakeTempDir() + "/wal";
+  options.checkpoint_interval = 8;
+  std::size_t violations = 0;
+  {
+    auto sharded = Unwrap(ShardedMonitor::Create(4, options));
+    SetupWorkload(sharded.get(), w);
+    RTIC_ASSERT_OK(sharded->Recover().status());
+    (void)Transcript(sharded.get(), w);
+    violations = sharded->total_violations();
+  }
+
+  const auto before = rtic::testing::DirSnapshot(options.wal_dir);
+  {
+    auto two = Unwrap(ShardedMonitor::Create(2, options));
+    SetupWorkload(two.get(), w);
+    Status s = two->Recover().status();
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+    EXPECT_NE(s.message().find("4 shards"), std::string::npos) << s.ToString();
+  }
+  {
+    ConstraintMonitor unsharded(options);
+    SetupWorkload(&unsharded, w);
+    EXPECT_EQ(unsharded.Recover().status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  EXPECT_TRUE(rtic::testing::DirSnapshot(options.wal_dir) == before);
+
+  auto four = Unwrap(ShardedMonitor::Create(4, options));
+  SetupWorkload(four.get(), w);
+  RTIC_ASSERT_OK(four->Recover().status());
+  EXPECT_EQ(four->transition_count(), w.batches.size());
+  EXPECT_EQ(four->total_violations(), violations);
+}
+
+// Older releases gave every shard and the coordinator a log of their own
+// under <wal_dir>/shard-<k> and <wal_dir>/shard-coord. That layout is
+// refused, not migrated: Recover() fails and leaves every file in place.
+TEST(ShardedMonitorTest, RecoverRefusesPerShardLayout) {
   workload::AlarmParams params;
   params.length = 40;
   const auto w = workload::MakeAlarmWorkload(params);
   const std::string dir = MakeTempDir() + "/wal";
+  std::filesystem::create_directories(dir);
   MonitorOptions options;
   options.wal_dir = dir;
-
-  Timestamp end_time = 0;
-  {
-    auto sharded = Unwrap(ShardedMonitor::Create(2, options));
-    SetupWorkload(sharded.get(), w);
-    RTIC_ASSERT_OK(sharded->Recover().status());
-    for (const auto& batch : w.batches) {
-      RTIC_ASSERT_OK(sharded->ApplyUpdate(batch).status());
-    }
-    end_time = sharded->current_time();
-  }
-  {
-    // Shard 0 alone commits one more transition — the torn write.
+  for (const char* sub : {"/shard-0", "/shard-1"}) {
+    // What an older release's shard left behind: a plain durable monitor.
     MonitorOptions inner = options;
-    inner.wal_dir = dir + "/shard-0";
-    auto lone = std::make_unique<ConstraintMonitor>(inner);
-    for (const auto& [name, schema] : w.schema) {
-      RTIC_ASSERT_OK(lone->CreateTable(name, schema));
-    }
-    for (const auto& [name, text] : w.constraints) {
-      RTIC_ASSERT_OK(lone->RegisterConstraint(name, text));
-    }
-    RTIC_ASSERT_OK(lone->Recover().status());
-    RTIC_ASSERT_OK(lone->Tick(end_time + 5).status());
+    inner.wal_dir = dir + sub;
+    ConstraintMonitor shard(inner);
+    SetupWorkload(&shard, w);
+    RTIC_ASSERT_OK(shard.Recover().status());
+    (void)Transcript(&shard, w);
   }
+
+  const auto before = rtic::testing::DirSnapshot(dir);
   auto sharded = Unwrap(ShardedMonitor::Create(2, options));
   SetupWorkload(sharded.get(), w);
-  RTIC_ASSERT_OK(sharded->Recover().status());
-  // Every shard caught up to the furthest clock; the monitor keeps going.
-  EXPECT_EQ(sharded->current_time(), end_time + 5);
-  EXPECT_EQ(sharded->shard(0).current_time(), end_time + 5);
-  EXPECT_EQ(sharded->shard(1).current_time(), end_time + 5);
-  RTIC_ASSERT_OK(sharded->Tick(end_time + 6).status());
+  Status s = sharded->Recover().status();
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("shard-0"), std::string::npos) << s.ToString();
+  ConstraintMonitor unsharded(options);
+  SetupWorkload(&unsharded, w);
+  EXPECT_EQ(unsharded.Recover().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(rtic::testing::DirSnapshot(dir) == before);
 }
 
 // ---- cross-shard coordinator --------------------------------------------

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -78,6 +82,27 @@ inline Relation IntRelation(std::vector<std::string> names,
     rel.InsertUnchecked(Tuple(std::move(vals)));
   }
   return rel;
+}
+
+/// Every entry under `root`, by path relative to it: a file maps to its
+/// bytes, a directory (path ending in '/') to "". Two equal snapshots mean
+/// nothing under `root` was created, removed or rewritten.
+inline std::map<std::string, std::string> DirSnapshot(const std::string& root) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    const std::string rel =
+        std::filesystem::relative(entry.path(), root).string();
+    if (entry.is_directory()) {
+      out[rel + "/"] = "";
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out[rel] = bytes.str();
+  }
+  return out;
 }
 
 }  // namespace testing
