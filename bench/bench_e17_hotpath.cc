@@ -1,5 +1,5 @@
-// E17 — hot-path overhaul: arena temporaries, interned tuples, cached join
-// indexes, and shared-subplan evaluation.
+// E17 — hot-path overhaul: cached join indexes, the atom cache and kept
+// results, and shared-subplan evaluation.
 //
 // Four series:
 //   * SubplanSharing/copies:N/shared:{0,1} — the E7 workload (N copies of
@@ -16,7 +16,7 @@
 //     constraint its own monitor).
 //   * AllocationsPerUpdate — steady-state heap allocations and bytes per
 //     ApplyUpdate (global counting operator new; see alloc_counter.cc),
-//     the direct measure of the arena/interning work.
+//     the direct measure of what the caches save.
 
 #include <benchmark/benchmark.h>
 
@@ -165,8 +165,8 @@ BENCHMARK(BM_E17_OverlapSharing)
     ->Unit(benchmark::kMicrosecond);
 
 // Steady-state allocation cost of one ApplyUpdate on the single-copy
-// payroll workload (the E7 copies:1 shape). The arena, the tuple pool, and
-// the cached join indexes exist to drive this toward zero.
+// payroll workload (the E7 copies:1 shape). The cached join indexes, the
+// atom cache and kept results exist to drive this toward zero.
 void BM_E17_AllocationsPerUpdate(benchmark::State& state) {
   workload::Workload w = PayrollCopies(1);
   auto monitor = bench::MakeMonitor(w, EngineKind::kIncremental);

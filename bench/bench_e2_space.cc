@@ -5,12 +5,23 @@
 // constraint's metric bounds and the active data), while the naive checker's
 // stored history grows linearly with the number of states.
 //
-// Measured quantity: rows retained by the checker after the full run
-// (counter `storage_rows`), for history lengths in {250, 500, 1000, 2000}.
+// Measured quantities: rows retained by the checker after the full run
+// (counter `storage_rows`), for history lengths in {250, 500, 1000, 2000},
+// and the live heap the monitor holds at the end (counter `heap_live_kib`,
+// global counting operator new; see alloc_counter.cc). Rows count only the
+// encoding; the heap counts everything the checker keeps, caches included.
+//
+// BM_E2_HeapLoanStream runs the loan stream of tests/memory_bound_test.cc
+// without its standing violation (every patron a member, then one loan per
+// state, each returned the state after, over 1000 x 1000 keys) for 5k, 20k
+// and 80k states through the incremental engine: with a saturated domain
+// and one live loan, `heap_live_kib` must not grow with the state count.
 
 #include <benchmark/benchmark.h>
 
+#include "bench/alloc_counter.h"
 #include "bench/bench_util.h"
+#include "common/rng.h"
 
 namespace rtic {
 namespace {
@@ -32,16 +43,66 @@ void BM_E2_Space(benchmark::State& state) {
   workload::Workload w = AlarmStream(length);
 
   std::size_t storage_rows = 0;
+  std::int64_t heap_bytes = 0;
   for (auto _ : state) {
+    const std::int64_t before = bench::LiveBytes();
     auto monitor = bench::MakeMonitor(w, engine);
     bench::FeedRange(monitor.get(), w, 0, w.batches.size());
     storage_rows = monitor->TotalStorageRows();
+    heap_bytes = bench::LiveBytes() - before;
     benchmark::DoNotOptimize(storage_rows);
   }
   state.counters["history_len"] = static_cast<double>(length);
   state.counters["storage_rows"] = static_cast<double>(storage_rows);
   state.counters["rows_per_state"] =
       static_cast<double>(storage_rows) / static_cast<double>(length);
+  state.counters["heap_live_kib"] = static_cast<double>(heap_bytes) / 1024.0;
+}
+
+void BM_E2_HeapLoanStream(benchmark::State& state) {
+  const std::size_t states = static_cast<std::size_t>(state.range(0));
+  constexpr std::int64_t kKeys = 1000;  // patrons and books alike
+  workload::Workload w;
+  w.schema["Member"] = Schema({Column{"patron", ValueType::kInt64}});
+  w.schema["Loan"] = Schema({Column{"patron", ValueType::kInt64},
+                             Column{"book", ValueType::kInt64}});
+  w.constraints = {
+      {"members_only", "forall p, b: Loan(p, b) implies Member(p)"},
+      {"no_quick_reloan",
+       "forall p, b: Loan(p, b) implies not once[1, 5] Loan(p, b)"}};
+
+  std::size_t storage_rows = 0;
+  std::int64_t heap_bytes = 0;
+  for (auto _ : state) {
+    const std::int64_t before = bench::LiveBytes();
+    auto monitor = bench::MakeMonitor(w, EngineKind::kIncremental);
+    Rng rng(1717);
+    Tuple out;  // the pair on loan since the previous state
+    for (std::size_t i = 0; i < states; ++i) {
+      UpdateBatch batch(static_cast<Timestamp>(i + 1));
+      if (i == 0) {
+        for (std::int64_t p = 0; p < kKeys; ++p) {
+          batch.Insert("Member", Tuple{Value::Int64(p)});
+        }
+      } else {
+        Tuple loan;
+        do {
+          loan = Tuple{Value::Int64(rng.UniformInt(0, kKeys - 1)),
+                       Value::Int64(rng.UniformInt(0, kKeys - 1))};
+        } while (loan == out);
+        if (!out.empty()) batch.Delete("Loan", out);
+        batch.Insert("Loan", loan);
+        out = loan;
+      }
+      bench::CheckOk(monitor->ApplyUpdate(batch), "ApplyUpdate");
+    }
+    storage_rows = monitor->TotalStorageRows();
+    heap_bytes = bench::LiveBytes() - before;
+    benchmark::DoNotOptimize(storage_rows);
+  }
+  state.counters["history_len"] = static_cast<double>(states);
+  state.counters["storage_rows"] = static_cast<double>(storage_rows);
+  state.counters["heap_live_kib"] = static_cast<double>(heap_bytes) / 1024.0;
 }
 
 BENCHMARK(BM_E2_Space)
@@ -56,6 +117,14 @@ BENCHMARK(BM_E2_Space)
     ->Args({1, 250})
     ->Args({1, 500})
     ->Args({1, 1000})
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_E2_HeapLoanStream)
+    ->ArgNames({"states"})
+    ->Arg(5000)
+    ->Arg(20000)
+    ->Arg(80000)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide verification: the tier-1 suite, a cookbook smoke running every
 # scenario_runner command printed in docs/SCENARIOS.md, an AddressSanitizer
-# pass over the unit, fuzz, and fault ctest labels, an ASan+UBSan pass over
+# pass over the unit, fuzz, and fault ctest labels (the unit label includes
+# memory_bound_test, the live-heap bound, which counts under ASan too and
+# skips with a message wherever its counting operator new cannot count),
+# an ASan+UBSan pass over
 # the checkpoint, shard, anchor, and workload labels plus a
 # bench_e13_checkpoint smoke
 # (the codec and delta-chain paths do the bit-level byte banging most

@@ -224,7 +224,6 @@ Result<bool> IncrementalEngine::OnTransition(const Database& state,
         "timestamps must be strictly increasing: " + std::to_string(t) +
         " after " + std::to_string(prev_time_));
   }
-  scratch_.BeginUpdate();
   // Only the objects this engine writes are updated here. Every object it
   // reads has a writer registered earlier, which the monitor checks first
   // (see subplan_dag.h), so those are already at this transition.
@@ -254,6 +253,9 @@ Result<Relation> IncrementalEngine::CurrentCounterexamples(
   }
   inc::Verdict& v = *verdict_.state;
   if (!v.cex_current) {
+    // Every evaluation starts from a clear read record, so the record never
+    // outgrows one evaluation's reads.
+    scratch_.ClearReads();
     Result<Relation> cex =
         fo::ComputeCounterexamples(*constraint_, ContextFor(state));
     // Readers never write a shared verdict. (A monitor checks the writer

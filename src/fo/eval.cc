@@ -364,18 +364,12 @@ class Evaluator {
         out.InsertUnchecked(row);
         continue;
       }
-      if (scratch_ != nullptr) {
-        const Value** ptrs = scratch_->arena.AllocSpan<const Value*>(n);
-        for (std::size_t c = 0; c < n; ++c) ptrs[c] = &row.at(plan->var_pos[c]);
-        out.InsertUnchecked(scratch_->pool.Intern(ptrs, n));
-      } else {
-        std::vector<Value> vals;
-        vals.reserve(n);
-        for (std::size_t c = 0; c < n; ++c) {
-          vals.push_back(row.at(plan->var_pos[c]));
-        }
-        out.InsertUnchecked(Tuple(std::move(vals)));
+      std::vector<Value> vals;
+      vals.reserve(n);
+      for (std::size_t c = 0; c < n; ++c) {
+        vals.push_back(row.at(plan->var_pos[c]));
       }
+      out.InsertUnchecked(Tuple(std::move(vals)));
     }
     if (scratch_ != nullptr) {
       scratch_->atom_results[&f] =

@@ -28,14 +28,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/result.h"
 #include "ra/relation.h"
 #include "storage/database.h"
 #include "storage/domain_tracker.h"
 #include "tl/analyzer.h"
 #include "tl/ast.h"
-#include "types/intern.h"
 
 namespace rtic {
 namespace fo {
@@ -48,6 +46,13 @@ using TemporalResolver =
 /// Reusable evaluation caches for an engine that evaluates the same formula
 /// tree against an evolving history. Optional: evaluation without one is
 /// identical, just slower. Not thread-safe; one scratch per engine.
+///
+/// Everything here is sized by the formula tree, the current state and the
+/// active domain, never by the number of states: an atom's rows are kept
+/// only with its cached result, which the next scan of a changed table
+/// replaces. Rows are not interned across transitions, because a row is
+/// rebuilt only when its table changes, and a pool that remembered every
+/// row would grow with the history.
 struct EvalScratch {
   /// Compiled scan plan for one atom, keyed by the formula node (valid for
   /// the lifetime of the engine's formula tree).
@@ -84,14 +89,6 @@ struct EvalScratch {
   };
   std::map<const tl::Formula*, AtomResult> atom_results;
 
-  /// Interned hot rows: atom-scan outputs share one payload across
-  /// transitions, so set/anchor-map lookups hit Tuple's pointer fast path.
-  TuplePool pool;
-
-  /// Per-update temporaries (value-pointer spans). The owning engine resets
-  /// it at transition boundaries.
-  Arena arena;
-
   /// What evaluations read since the caller last cleared these: the table
   /// of every atom scanned (atom-cache hits included), every temporal leaf
   /// resolved (repeats possible in both), and whether the quantification
@@ -108,17 +105,9 @@ struct EvalScratch {
     domain_consulted = false;
   }
 
-  /// Call at the top of each transition: drops per-update temporaries and
-  /// the read record. (The atom cache self-validates via table versions
-  /// and is kept.)
-  void BeginUpdate() {
-    arena.Reset();
-    ClearReads();
-  }
-
   /// Call after restoring engine state from a checkpoint: the restored
-  /// tracker can reuse a version number for different contents. Plans, the
-  /// pool, and the atom cache are content-addressed and stay valid.
+  /// tracker can reuse a version number for different contents. Plans and
+  /// the atom cache are content-addressed and stay valid.
   void InvalidateDomain() {
     domain_version = std::numeric_limits<std::uint64_t>::max();
     domain_values.clear();

@@ -21,8 +21,9 @@ namespace rtic {
 /// shared_ptr, and two copies of the same origin compare equal by pointer
 /// without touching the Values. The element-wise hash is computed once per
 /// payload and cached, so repeated hashing (index probes, set membership) is
-/// a single atomic load. Interned tuples (types/intern.h) extend the
-/// pointer-equality fast path across independently built rows.
+/// a single atomic load. Rows are not interned: independently built equal
+/// rows compare element-wise, and nothing keeps a row alive once the last
+/// relation holding it lets go.
 class Tuple {
  public:
   Tuple() : rep_(EmptyRep()) {}
@@ -63,8 +64,6 @@ class Tuple {
   bool Matches(const Schema& schema) const;
 
  private:
-  friend class TuplePool;
-
   struct Rep {
     explicit Rep(std::vector<Value> v) : values(std::move(v)) {}
     std::vector<Value> values;

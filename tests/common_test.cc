@@ -4,10 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <set>
 
-#include "common/arena.h"
 #include "common/crc32c.h"
 #include "common/interval.h"
 #include "common/result.h"
@@ -250,60 +248,6 @@ TEST(Crc32cTest, SeedChainingEqualsWholeBuffer) {
         Crc32c(data.substr(split), Crc32c(data.substr(0, split)));
     EXPECT_EQ(chained, Crc32c(data)) << "split at " << split;
   }
-}
-
-// ---- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena;
-  void* a = arena.Alloc(24, 8);
-  void* b = arena.Alloc(1, 1);
-  void* c = arena.Alloc(16, 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 16, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  // Writes to one allocation must not clobber another.
-  std::memset(a, 0xAA, 24);
-  std::memset(c, 0xBB, 16);
-  EXPECT_EQ(static_cast<unsigned char*>(a)[23], 0xAA);
-  EXPECT_EQ(static_cast<unsigned char*>(c)[0], 0xBB);
-}
-
-TEST(ArenaTest, GrowsPastTheFirstBlock) {
-  Arena arena(/*min_block_bytes=*/64);
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Alloc(48, 8);
-    ASSERT_NE(p, nullptr);
-    std::memset(p, i, 48);  // ASan would catch an undersized block
-  }
-  EXPECT_GE(arena.capacity_bytes(), 100u * 48u);
-}
-
-TEST(ArenaTest, OversizedAllocationGetsItsOwnBlock) {
-  Arena arena(/*min_block_bytes=*/64);
-  void* p = arena.Alloc(4096, 8);
-  ASSERT_NE(p, nullptr);
-  std::memset(p, 0xCD, 4096);
-}
-
-TEST(ArenaTest, ResetReusesCapacity) {
-  Arena arena(/*min_block_bytes=*/1024);
-  for (int i = 0; i < 32; ++i) arena.AllocSpan<std::int64_t>(16);
-  const std::size_t grown = arena.capacity_bytes();
-  arena.Reset();
-  // Reset keeps the blocks: the same workload must not grow the arena.
-  for (int i = 0; i < 32; ++i) arena.AllocSpan<std::int64_t>(16);
-  EXPECT_EQ(arena.capacity_bytes(), grown);
-}
-
-TEST(ArenaTest, AllocSpanIsTyped) {
-  Arena arena;
-  std::int32_t* span = arena.AllocSpan<std::int32_t>(7);
-  for (int i = 0; i < 7; ++i) span[i] = i * i;
-  EXPECT_EQ(span[6], 36);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(span) % alignof(std::int32_t),
-            0u);
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlips) {

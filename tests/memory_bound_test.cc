@@ -1,0 +1,155 @@
+// Live-heap bound: a checker's memory depends on its constraints and the
+// live data, never on the length of the history it has checked.
+//
+// A library-shaped stream runs through an in-memory ConstraintMonitor and a
+// 4-shard in-memory ShardedMonitor, each holding `members_only` and a
+// no-quick-reloan constraint (`not once[1, 5] Loan(p, b)`). Patrons and books
+// are both keys 0..999: the first state makes every patron a member, and every
+// later state loans one random pair and returns the pair loaned the state
+// before. So the live data is one loan, and after a warm-up long enough for
+// each shard's active domain to hold every key, nothing the checker needs
+// grows. The test then allows the live heap at most 64 KiB of growth over the
+// next 20k states. Anything that remembers each row it ever built (a row
+// cache that never forgets) grows by hundreds of bytes per state and fails.
+//
+// The first state also puts non-member 1000 on hold, and `holds_need_members`
+// forbids that: it is violated at every state while none of its inputs
+// change, so every state reuses its kept verdict and extracts its witness
+// again. That path must not accumulate anything per state either.
+//
+// Live bytes come from the counting global operator new/delete of
+// bench/alloc_counter.cc, linked into this test, which adds and subtracts
+// malloc_usable_size. When that reading does not move (a runtime that
+// bypasses the replaced operators), the tests skip with a message instead of
+// passing on a count of zero.
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "bench/alloc_counter.h"
+#include "common/rng.h"
+#include "monitor/monitor.h"
+#include "shard/sharded_monitor.h"
+#include "storage/update_batch.h"
+#include "tests/test_util.h"
+
+namespace rtic {
+namespace {
+
+using testing::I;
+using testing::IntSchema;
+using testing::T;
+using testing::Unwrap;
+
+constexpr std::int64_t kKeys = 1000;  // patrons and books alike
+constexpr std::size_t kWarmupStates = 10000;
+constexpr std::size_t kMeasuredStates = 20000;
+constexpr std::int64_t kGrowthBoundBytes = 64 * 1024;
+constexpr std::uint64_t kSeed = 1717;
+
+// Published through a volatile pointer so the compiler cannot elide the
+// probe's allocation.
+std::vector<char>* volatile g_probe = nullptr;
+
+// True iff a 1 MiB allocation shows up in bench::LiveBytes() and its
+// release takes it back out.
+bool CountingWorks() {
+  constexpr std::int64_t kProbeBytes = 1 << 20;
+  const std::int64_t before = bench::LiveBytes();
+  g_probe = new std::vector<char>(kProbeBytes, 'x');
+  const std::int64_t during = bench::LiveBytes();
+  delete g_probe;
+  g_probe = nullptr;
+  const std::int64_t after = bench::LiveBytes();
+  return during - before >= kProbeBytes && after - before < kProbeBytes;
+}
+
+// The stream described in the header comment.
+class LoanStream {
+ public:
+  explicit LoanStream(std::uint64_t seed) : rng_(seed) {}
+
+  UpdateBatch Next() {
+    UpdateBatch batch(++now_);
+    if (now_ == 1) {
+      for (std::int64_t p = 0; p < kKeys; ++p) batch.Insert("Member", T(I(p)));
+      batch.Insert("Hold", T(I(kKeys)));
+      return batch;
+    }
+    Tuple loan;
+    do {
+      loan = T(I(rng_.UniformInt(0, kKeys - 1)),
+               I(rng_.UniformInt(0, kKeys - 1)));
+    } while (loan == out_);
+    if (!out_.empty()) batch.Delete("Loan", out_);
+    batch.Insert("Loan", loan);
+    out_ = loan;
+    return batch;
+  }
+
+ private:
+  Rng rng_;
+  Timestamp now_ = 0;
+  Tuple out_;  // the pair on loan since the previous state
+};
+
+Status Feed(MonitorLike* monitor, LoanStream* stream, std::size_t states) {
+  for (std::size_t i = 0; i < states; ++i) {
+    Result<std::vector<Violation>> verdict =
+        monitor->ApplyUpdate(stream->Next());
+    if (!verdict.ok()) return verdict.status();
+  }
+  return Status::OK();
+}
+
+void ExpectFlatHeap(MonitorLike* monitor) {
+  RTIC_ASSERT_OK(monitor->CreateTable("Member", IntSchema({"patron"})));
+  RTIC_ASSERT_OK(monitor->CreateTable("Loan", IntSchema({"patron", "book"})));
+  RTIC_ASSERT_OK(monitor->CreateTable("Hold", IntSchema({"patron"})));
+  RTIC_ASSERT_OK(monitor->RegisterConstraint(
+      "members_only", "forall p, b: Loan(p, b) implies Member(p)"));
+  RTIC_ASSERT_OK(monitor->RegisterConstraint(
+      "no_quick_reloan",
+      "forall p, b: Loan(p, b) implies not once[1, 5] Loan(p, b)"));
+  RTIC_ASSERT_OK(monitor->RegisterConstraint(
+      "holds_need_members", "forall p: Hold(p) implies Member(p)"));
+  LoanStream stream(kSeed);
+  RTIC_ASSERT_OK(Feed(monitor, &stream, kWarmupStates));
+  ASSERT_EQ(monitor->total_violations(), kWarmupStates);
+  const std::int64_t baseline = bench::LiveBytes();
+  RTIC_ASSERT_OK(Feed(monitor, &stream, kMeasuredStates));
+  const std::int64_t growth = bench::LiveBytes() - baseline;
+  EXPECT_LE(growth, kGrowthBoundBytes)
+      << "live heap grew " << growth / 1024 << " KiB over "
+      << kMeasuredStates << " states after a " << kWarmupStates
+      << "-state warm-up";
+}
+
+class MemoryBoundTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!CountingWorks()) {
+      GTEST_SKIP() << "operator new/delete replacement is not counting live "
+                      "bytes in this build; the bound cannot be checked";
+    }
+  }
+};
+
+TEST_F(MemoryBoundTest, MonitorHeapDoesNotGrowWithTheHistory) {
+  ConstraintMonitor monitor;
+  ExpectFlatHeap(&monitor);
+}
+
+TEST_F(MemoryBoundTest, ShardedMonitorHeapDoesNotGrowWithTheHistory) {
+  std::unique_ptr<shard::ShardedMonitor> sharded =
+      Unwrap(shard::ShardedMonitor::Create(4));
+  ASSERT_NE(sharded, nullptr);
+  ExpectFlatHeap(sharded.get());
+}
+
+}  // namespace
+}  // namespace rtic

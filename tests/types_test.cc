@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "tests/test_util.h"
-#include "types/intern.h"
 #include "types/schema.h"
 #include "types/tuple.h"
 #include "types/value.h"
@@ -201,51 +200,6 @@ TEST(TupleCowTest, DefaultTupleIsEmpty) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t, Tuple{});
   EXPECT_EQ(TupleHash{}(t), TupleHash{}(Tuple{}));
-}
-
-// ---- TuplePool -------------------------------------------------------------
-
-TEST(TuplePoolTest, InterningDeduplicates) {
-  TuplePool pool;
-  Tuple a = pool.Intern(T(I(1), S("x")));
-  Tuple b = pool.Intern(T(I(1), S("x")));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(&a.at(0), &b.at(0));  // same rep: equality is pointer-cheap
-  EXPECT_EQ(pool.size(), 1u);
-  Tuple c = pool.Intern(T(I(1), S("y")));
-  EXPECT_NE(a, c);
-  EXPECT_EQ(pool.size(), 2u);
-}
-
-TEST(TuplePoolTest, SpanInterningMatchesTupleInterning) {
-  TuplePool pool;
-  const Value v0 = I(42);
-  const Value v1 = S("k");
-  const Value* span[] = {&v0, &v1};
-  Tuple a = pool.Intern(span, 2);
-  Tuple b = pool.Intern(T(I(42), S("k")));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(&a.at(0), &b.at(0));
-  EXPECT_EQ(pool.size(), 1u);
-  // Interned tuples carry a precomputed hash equal to the ordinary one.
-  EXPECT_EQ(TupleHash{}(a), TupleHash{}(T(I(42), S("k"))));
-}
-
-TEST(TuplePoolTest, EmptyTuple) {
-  TuplePool pool;
-  Tuple a = pool.Intern(nullptr, 0);
-  EXPECT_EQ(a, Tuple{});
-  EXPECT_EQ(TupleHash{}(a), TupleHash{}(Tuple{}));
-}
-
-TEST(TuplePoolTest, SurvivesUseInUnorderedSet) {
-  TuplePool pool;
-  std::unordered_set<Tuple, TupleHash> set;
-  for (int i = 0; i < 100; ++i) {
-    set.insert(pool.Intern(T(I(i % 10), I(i % 7))));
-  }
-  EXPECT_EQ(set.size(), 70u);  // 10 x 7 distinct pairs
-  EXPECT_LE(pool.size(), 70u);
 }
 
 // ---- Default-Value sentinel ------------------------------------------------
