@@ -17,8 +17,8 @@
 //     together) and p50/p99 per-request latency.
 //
 //   BM_E15_OpenLoopOverload — N clients fire at a durable tenant whose
-//     fsync is slowed to a fixed per-sync delay (same SlowSyncFs idea as
-//     E12) behind a small admission queue. Offered load exceeds the
+//     fsync is slowed to a fixed per-sync delay (SlowSyncFs below) behind
+//     a small admission queue. Offered load exceeds the
 //     worker's drain rate by construction; counters report the accepted
 //     rate and the OVERLOADED fraction. No batch that was accepted is
 //     lost: accepted == server-side transition count.
@@ -162,7 +162,7 @@ BENCHMARK(BM_E15_ClosedLoop)
 // -- open loop under overload -----------------------------------------------
 
 /// Every Sync costs a fixed delay, pinning the durable worker's drain rate
-/// well below the offered load (machine-independent, like E12).
+/// well below the offered load on any machine.
 class SlowSyncFs final : public wal::Fs {
  public:
   SlowSyncFs(wal::Fs* base, int sync_micros)

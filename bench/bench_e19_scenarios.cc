@@ -23,7 +23,7 @@
 //
 //   BM_E19_Overload — the freshness farm against a durable tenant whose
 //     fsync is slowed to a fixed per-sync delay (same SlowSyncFs idea as
-//     E15/E12) behind a small admission queue, driven over four
+//     E15) behind a small admission queue, driven over four
 //     concurrent connections. Offered load beyond the worker's drain rate
 //     surfaces as an honest nonzero OVERLOADED fraction; accepted batches
 //     are never lost (accepted == server-side transition count).

@@ -12,9 +12,10 @@
 # vectors across monitors; the anchor label hammers the columnar store's
 # span arithmetic; the workload label sweeps the scenario generators and
 # the open-loop driver), a ThreadSanitizer pass over the parallel, fault,
-# replication, server, shard, and anchor labels (group commit, the crash
-# matrices, the background shipper thread, the multi-session TCP server,
-# and the sharded monitor's fan-out pool are the concurrency-heavy paths),
+# replication, server, shard, and anchor labels (concurrent WAL appends,
+# the crash matrices, the background shipper thread, the multi-session TCP
+# server, and the sharded monitor's fan-out pool are the concurrency-heavy
+# paths),
 # and a perf-regression gate over the two newest BENCH_*.json
 # files from scripts/bench.sh (skipped until two runs exist).
 # The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
@@ -45,24 +46,26 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
-# Cookbook smoke: the exact scenario_runner invocations printed in
-# docs/SCENARIOS.md, so every copy-paste command in the cookbook is known
-# to run. Keep this list and the doc in sync (same flags, same dials).
+# Cookbook smoke: every line of docs/SCENARIOS.md that begins with
+# ./build/examples/scenario_runner runs as written, so every copy-paste
+# command in the cookbook is known to run; then `describe` for each of the
+# five scenario families.
 echo "== cookbook smoke: docs/SCENARIOS.md commands =="
 SR=./build/examples/scenario_runner
 cookbook() { echo "  $*"; "$@" >/dev/null; }
-cookbook "$SR" list
+mapfile -t doc_commands < \
+  <(grep -E '^\./build/examples/scenario_runner( |$)' docs/SCENARIOS.md)
+if [[ ${#doc_commands[@]} -eq 0 ]]; then
+  echo "cookbook smoke: no $SR command found in docs/SCENARIOS.md" >&2
+  exit 1
+fi
+for line in "${doc_commands[@]}"; do
+  read -ra command <<<"$line"
+  cookbook "${command[@]}"
+done
 for s in alarm payroll library freshness commit; do
   cookbook "$SR" describe "$s"
 done
-cookbook "$SR" run alarm late_prob=0.3
-cookbook "$SR" run payroll --engine=naive
-cookbook "$SR" run library nonmember_prob=0.2
-cookbook "$SR" run freshness stale_prob=0.2 num_sensors=10
-cookbook "$SR" run commit late_decide_prob=0.3 --engine=active
-cookbook "$SR" drive freshness --rate=4000
-cookbook "$SR" drive commit --target=self-server --rate=4000 --connections=4
-cookbook "$SR" drive freshness --target=self-server --arrival=bursty --rate=2000
 
 # Perf-regression gate: compare the two newest BENCH_*.json snapshots
 # (scripts/bench.sh writes one per run). Deliberately generous — only a

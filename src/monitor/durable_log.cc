@@ -30,7 +30,6 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(
   wal::WalOptions wal_options;
   wal_options.dir = options.wal_dir;
   wal_options.sync_policy = options.sync_policy;
-  wal_options.group_commit_window_micros = options.group_commit_window_micros;
   wal_options.checkpoint_interval = options.checkpoint_interval;
   wal_options.delta_chain_limit = options.checkpoint_delta_chain;
   wal_options.segment_bytes = options.wal_segment_bytes;

@@ -85,17 +85,6 @@ struct MonitorOptions {
   /// When an accepted batch becomes durable (durable mode only).
   wal::SyncPolicy sync_policy = wal::SyncPolicy::kBatch;
 
-  /// Group-commit gathering window in microseconds (durable mode only).
-  /// 0 (the default) keeps today's per-append behavior. Non-zero makes
-  /// sync_policy = kAlways amortize fsyncs: all batches appended within
-  /// the window — or queued while a prior fsync is in flight — become
-  /// durable through one shared fsync, and each ApplyUpdate still returns
-  /// only once its own batch is durable. Worth roughly the storage
-  /// device's fsync latency; it only pays off when several threads commit
-  /// concurrently (each committer waits out the window, so a single
-  /// serial writer sees added latency and no fewer fsyncs).
-  std::uint64_t group_commit_window_micros = 0;
-
   /// Accepted batches between automatic checkpoints; 0 disables periodic
   /// checkpointing, leaving recovery to replay the whole log.
   std::size_t checkpoint_interval = 64;

@@ -91,6 +91,8 @@ class MonitorLike {
   virtual Result<wal::RecoveryStats> Recover() = 0;
 
   /// Commits one transition and returns the violations at the new state.
+  /// The first batch may carry any timestamp; each later one must exceed
+  /// the previous (InvalidArgument otherwise).
   virtual Result<std::vector<Violation>> ApplyUpdate(
       const UpdateBatch& batch) = 0;
 

@@ -254,27 +254,6 @@ Result<Relation> Project(const Relation& a,
   return out;
 }
 
-Result<Relation> Rename(const Relation& a,
-                        const std::map<std::string, std::string>& mapping) {
-  std::vector<Column> out_cols = a.columns();
-  for (auto& col : out_cols) {
-    auto it = mapping.find(col.name);
-    if (it != mapping.end()) col.name = it->second;
-  }
-  RTIC_ASSIGN_OR_RETURN(Relation out, Relation::Make(std::move(out_cols)));
-  // Per-position types are unchanged, so the row storage can be shared.
-  return a.WithColumns(out.columns());
-}
-
-Relation Select(const Relation& a,
-                const std::function<bool(const Tuple&)>& pred) {
-  Relation out(a.columns());
-  for (const Tuple& row : a.rows()) {
-    if (pred(row)) out.InsertUnchecked(row);
-  }
-  return out;
-}
-
 Result<Relation> CrossProduct(const Relation& a, const Relation& b) {
   for (const Column& c : b.columns()) {
     if (a.IndexOf(c.name).has_value()) {

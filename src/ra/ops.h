@@ -5,8 +5,6 @@
 #ifndef RTIC_RA_OPS_H_
 #define RTIC_RA_OPS_H_
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -42,15 +40,6 @@ Result<Relation> Intersect(const Relation& a, const Relation& b);
 /// Projection onto `columns` (each must exist); duplicates collapse.
 Result<Relation> Project(const Relation& a,
                          const std::vector<std::string>& columns);
-
-/// Renames columns per `mapping` (old name -> new name); unmapped columns
-/// keep their names. Fails if the result has duplicate names.
-Result<Relation> Rename(const Relation& a,
-                        const std::map<std::string, std::string>& mapping);
-
-/// Filters rows by an arbitrary predicate.
-Relation Select(const Relation& a,
-                const std::function<bool(const Tuple&)>& pred);
 
 /// Cross product; column sets must be disjoint.
 Result<Relation> CrossProduct(const Relation& a, const Relation& b);

@@ -22,9 +22,9 @@
 //
 // Promote() is genuinely Recover()-equivalent: it builds a fresh durable
 // ConstraintMonitor over the mirror directory and runs Recover(), so a
-// promoted standby takes over at the primary's last durable group-commit
-// batch that reached the mirror — with the same checkpoint chain, the
-// same truncation rules, and the same verdicts as a primary restart.
+// promoted standby takes over at the primary's last durable batch that
+// reached the mirror — with the same checkpoint chain, the same truncation
+// rules, and the same verdicts as a primary restart.
 
 #ifndef RTIC_REPLICATION_STANDBY_H_
 #define RTIC_REPLICATION_STANDBY_H_

@@ -193,7 +193,7 @@ Result<std::vector<Violation>> ShardedMonitor::ApplyUpdate(
 
 Result<std::vector<Violation>> ShardedMonitor::Commit(const UpdateBatch& batch,
                                                       DurableLog* log) {
-  if (batch.timestamp() <= current_time_) {
+  if (transition_count_ > 0 && batch.timestamp() <= current_time_) {
     return Status::InvalidArgument(
         "batch timestamp " + std::to_string(batch.timestamp()) +
         " does not advance the clock past " + std::to_string(current_time_));

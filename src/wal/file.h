@@ -93,9 +93,10 @@ enum class FaultKind {
 /// applies `kind`'s partial effect and fails, and every operation after it
 /// fails outright — the file system behaves as if the process died mid-call.
 /// Mutating operations are counted; reads and CreateDir are passed through
-/// (but also fail once dead). The fault accounting is thread-safe, so
-/// concurrent committers (group commit) can be attacked; the files handed
-/// out inherit the base Fs's (lack of) internal synchronization.
+/// (but also fail once dead). The fault accounting is thread-safe because
+/// a durable monitor's shipper thread shares the fs with the commit path;
+/// the files handed out inherit the base Fs's (lack of) internal
+/// synchronization.
 class FaultInjectingFs final : public Fs {
  public:
   FaultInjectingFs(Fs* base, std::uint64_t trigger_op, FaultKind kind);

@@ -61,23 +61,9 @@ Result<std::unique_ptr<RecoveryManager>> RecoveryManager::Open(
   WalWriter::Options writer_options;
   writer_options.sync_policy = options.sync_policy;
   writer_options.segment_bytes = options.segment_bytes;
-  const bool group_commit = options.group_commit_window_micros > 0;
-  if (group_commit && options.sync_policy == SyncPolicy::kAlways) {
-    // The GroupCommitter issues the fsyncs: the writer pushes each record
-    // to the OS at append and fsyncs closed segments at rotation, so the
-    // only un-synced bytes are the open segment's current group.
-    writer_options.sync_policy = SyncPolicy::kBatch;
-  }
   RTIC_ASSIGN_OR_RETURN(mgr->writer_,
                         WalWriter::Open(fs, options.dir, writer_options,
                                         mgr->last_seq_ + 1));
-  if (group_commit) {
-    GroupCommitter::Options group_options;
-    group_options.sync_policy = options.sync_policy;
-    group_options.window_micros = options.group_commit_window_micros;
-    mgr->group_ = std::make_unique<GroupCommitter>(mgr->writer_.get(),
-                                                   group_options);
-  }
 
   // A truncated tail leaves records beyond the checkpoint whose original
   // suffix is gone. Re-anchor the log with a fresh checkpoint at last_seq
@@ -321,16 +307,6 @@ Status RecoveryManager::TruncateDamage(const std::string& segment,
 Status RecoveryManager::AppendBatch(const UpdateBatch& batch) {
   StateWriter payload;
   batch.EncodeTo(&payload);
-  if (group_ != nullptr) {
-    // The committer serializes writer access itself; holding append_mu_
-    // across Commit would defeat the gathering window.
-    std::uint64_t seq = 0;
-    RTIC_RETURN_IF_ERROR(group_->Commit(payload.str(), &seq));
-    std::lock_guard<std::mutex> lock(append_mu_);
-    last_seq_ = std::max(last_seq_, seq);
-    ++batches_since_checkpoint_;
-    return Status::OK();
-  }
   std::lock_guard<std::mutex> lock(append_mu_);
   RTIC_RETURN_IF_ERROR(writer_->Append(writer_->next_seq(), payload.str()));
   last_seq_ = writer_->next_seq() - 1;

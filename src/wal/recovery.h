@@ -26,7 +26,6 @@
 #include "common/result.h"
 #include "storage/update_batch.h"
 #include "wal/file.h"
-#include "wal/group_commit.h"
 #include "wal/wal_writer.h"
 
 namespace rtic {
@@ -37,11 +36,6 @@ struct WalOptions {
   /// Directory holding segment and checkpoint files; created if absent.
   std::string dir;
   SyncPolicy sync_policy = SyncPolicy::kBatch;
-  /// Group-commit gathering window in microseconds; 0 (the default) keeps
-  /// the direct per-append path. Non-zero routes AppendBatch through a
-  /// GroupCommitter so concurrent appenders under SyncPolicy::kAlways
-  /// share fsyncs (see wal/group_commit.h).
-  std::uint64_t group_commit_window_micros = 0;
   /// Batches between checkpoints; 0 disables periodic checkpointing.
   std::size_t checkpoint_interval = 64;
   /// Maximum delta checkpoints chained onto one base snapshot before
@@ -131,16 +125,14 @@ class RecoveryManager {
   /// Appends one batch to the log, durable per the sync policy. On failure
   /// the batch must be treated as not applied (the caller never acked it).
   ///
-  /// Thread safety: AppendBatch may be called concurrently with itself
-  /// (that is what group commit coalesces); everything else on this class
+  /// Thread safety: AppendBatch may be called concurrently with itself.
+  /// Appends are serialized, so the log is one contiguous sequence, and
+  /// each is durable per the sync policy before it returns (under kAlways,
+  /// one fsync per batch). A DurableLog appends from one thread only,
+  /// since monitors are not reentrant. Everything else on this class
   /// — Open, WriteCheckpoint, ShouldCheckpoint, destruction — must be
   /// externally quiesced against in-flight appends.
   Status AppendBatch(const UpdateBatch& batch);
-
-  /// The group committer, or nullptr when group commit is off
-  /// (group_commit_window_micros == 0). Exposed for benchmarks and tests
-  /// that assert coalescing behavior.
-  const GroupCommitter* group_committer() const { return group_.get(); }
 
   /// True when checkpoint_interval accepted batches have accumulated since
   /// the last checkpoint.
@@ -218,9 +210,8 @@ class RecoveryManager {
   Fs* fs_;
   WalOptions options_;
   std::unique_ptr<WalWriter> writer_;
-  std::unique_ptr<GroupCommitter> group_;  // non-null iff window > 0
-  std::mutex append_mu_;  // serializes AppendBatch bookkeeping (and the
-                          // writer itself on the direct, non-group path)
+  std::mutex append_mu_;  // serializes AppendBatch: the writer and its
+                          // bookkeeping
   std::uint64_t checkpoint_seq_ = 0;
   std::uint64_t base_seq_ = 0;     // base snapshot anchoring the live chain
   std::size_t chain_length_ = 0;   // deltas stacked on that base

@@ -70,14 +70,6 @@ Status WalWriter::Append(std::uint64_t seq, std::string_view payload) {
   return Status::OK();
 }
 
-Status WalWriter::Sync() {
-  RTIC_RETURN_IF_ERROR(broken_);
-  if (!current_) return Status::OK();
-  Status s = current_->Sync();
-  if (!s.ok()) return Poison(std::move(s));
-  return Status::OK();
-}
-
 Status WalWriter::Rotate() {
   RTIC_RETURN_IF_ERROR(broken_);
   if (!current_) return Status::OK();

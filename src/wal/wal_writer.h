@@ -44,18 +44,14 @@ class WalWriter {
   /// Appends one record. `seq` must equal next_seq() — the log never skips
   /// or repeats a sequence number.
   ///
-  /// A failed append (or sync, or rotation) POISONS the writer: the open
-  /// segment may end in a torn record, and appending past it would put
-  /// durable records beyond the damage, where recovery's torn-tail
-  /// truncation would silently discard them. Every later Append/Sync/Rotate
-  /// fails with FailedPrecondition; the open file is abandoned unflushed
-  /// (crash semantics). Sequence-order violations are rejected without
-  /// poisoning — nothing touched the file.
+  /// A failed append (or its flush or sync, or rotation) POISONS the
+  /// writer: the open segment may end in a torn record, and appending past
+  /// it would put durable records beyond the damage, where recovery's
+  /// torn-tail truncation would silently discard them. Every later
+  /// Append/Rotate fails with FailedPrecondition; the open file is
+  /// abandoned unflushed (crash semantics). Sequence-order violations are
+  /// rejected without poisoning — nothing touched the file.
   Status Append(std::uint64_t seq, std::string_view payload);
-
-  /// Flush + fsync the open segment (no-op when none is open). A failure
-  /// poisons the writer (see Append).
-  Status Sync();
 
   /// Closes the open segment; the next Append starts a fresh one. Called at
   /// checkpoints so a checkpoint covers whole segments, making garbage

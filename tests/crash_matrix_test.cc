@@ -14,10 +14,10 @@
 // monitor logs and retries instead of failing the batch — then the run
 // completes without a crash and every batch must be acked.
 //
-// The matrix runs on the direct kAlways path and with group commit
-// enabled, so the shared-fsync path faces the same exhaustive fault sweep.
-// This is the subsystem's end-to-end correctness argument: no fault point
-// loses an acked batch, resurrects an unacked one, or perturbs checking.
+// The matrix runs under kAlways, on the default and a short delta chain,
+// with and without compressed checkpoints. This is the subsystem's
+// end-to-end correctness argument: no fault point loses an acked batch,
+// resurrects an unacked one, or perturbs checking.
 //
 // A sharded tenant faces the same sweep: a durable 4-shard library run owns
 // one log and one checkpoint chain, so after every fault the recovered
@@ -55,7 +55,6 @@ struct MatrixParams {
   std::size_t length = 200;
   std::uint64_t seed = 7;
   std::size_t checkpoint_interval = 25;
-  std::uint64_t group_commit_window_micros = 0;
   std::size_t checkpoint_delta_chain = 8;  // the default: deltas active
   bool checkpoint_compression = false;
 };
@@ -76,7 +75,6 @@ std::unique_ptr<ConstraintMonitor> MakeMonitor(const workload::Workload& wl,
   options.wal_dir = dir;
   options.sync_policy = wal::SyncPolicy::kAlways;
   options.checkpoint_interval = p.checkpoint_interval;
-  options.group_commit_window_micros = p.group_commit_window_micros;
   options.checkpoint_delta_chain = p.checkpoint_delta_chain;
   options.checkpoint_compression = p.checkpoint_compression;
   options.wal_fs = fs;
@@ -191,23 +189,16 @@ TEST(CrashMatrixTest, EveryFaultPointRecoversExactly) {
   RunCrashMatrix(MatrixParams{});
 }
 
-// The same sweep with group commit armed AND compressed checkpoints. The
-// matrix driver is serial, so every group has size one — what this buys is
-// exhaustive fault coverage of the group-commit code path itself: the
-// writer running kBatch underneath, the shared Sync() issued by the
-// GroupCommitter, and the committer's poisoned-on-failure states all face
-// every possible fault point, and recovery must still be
-// verdict-for-verdict identical. Compression rides along so every fault
-// point also crosses the compressed-frame encode/decode path (final-state
-// comparisons use the uncompressed SaveState, so byte-identity still
-// holds).
-TEST(CrashMatrixTest, GroupCommitEveryFaultPointRecoversExactly) {
+// The same sweep with compressed checkpoints on the default delta chain:
+// every fault point also crosses the compressed-frame encode/decode path
+// (final-state comparisons use the uncompressed SaveState, so
+// byte-identity still holds).
+TEST(CrashMatrixTest, CompressedEveryFaultPointRecoversExactly) {
   MatrixParams params;
   params.num_employees = 8;
   params.length = 80;
   params.seed = 11;
   params.checkpoint_interval = 10;
-  params.group_commit_window_micros = 100;
   params.checkpoint_compression = true;
   RunCrashMatrix(params);
 }

@@ -159,7 +159,7 @@ TEST(BooleanAlgebraOnZeroColumns, WorksAsExpected) {
   EXPECT_FALSE(Unwrap(ra::Intersect(t, f)).AsBool());
 }
 
-// ---- Project / Rename / Select / CrossProduct / FromValues -------------------------
+// ---- Project / CrossProduct / FromValues -------------------------------------
 
 TEST(ProjectTest, CollapsesDuplicates) {
   Relation a = IntRelation({"x", "y"}, {{1, 10}, {1, 20}, {2, 10}});
@@ -179,20 +179,6 @@ TEST(ProjectTest, ToZeroColumnsYieldsBoolean) {
 
 TEST(ProjectTest, UnknownColumnFails) {
   EXPECT_FALSE(ra::Project(IntRelation({"x"}, {}), {"z"}).ok());
-}
-
-TEST(RenameTest, RenamesAndDetectsCollisions) {
-  Relation a = IntRelation({"x", "y"}, {{1, 2}});
-  Relation renamed = Unwrap(ra::Rename(a, {{"x", "a"}}));
-  EXPECT_EQ(renamed, IntRelation({"a", "y"}, {{1, 2}}));
-  EXPECT_FALSE(ra::Rename(a, {{"x", "y"}}).ok());
-}
-
-TEST(SelectTest, FiltersByPredicate) {
-  Relation a = IntRelation({"x"}, {{1}, {2}, {3}});
-  Relation out =
-      ra::Select(a, [](const Tuple& t) { return t.at(0).AsInt64() >= 2; });
-  EXPECT_EQ(out, IntRelation({"x"}, {{2}, {3}}));
 }
 
 TEST(CrossProductTest, RequiresDisjointColumns) {

@@ -451,6 +451,32 @@ TEST(ShardedMonitorTest, GuardsMirrorUnshardedMonitor) {
   RTIC_ASSERT_OK(sharded->UnregisterConstraint("c"));
   EXPECT_FALSE(sharded->UnregisterConstraint("c").ok());
   EXPECT_TRUE(sharded->ConstraintNames().empty());
+
+  // The first batch may carry any timestamp, zero and negative included;
+  // only later batches must advance the clock.
+  for (const Timestamp first : {Timestamp{0}, Timestamp{-5}}) {
+    SCOPED_TRACE("first timestamp " + std::to_string(first));
+    auto reference = std::make_unique<ConstraintMonitor>();
+    auto fresh = Unwrap(ShardedMonitor::Create(2));
+    MonitorLike* monitors[] = {reference.get(), fresh.get()};
+    std::string transcripts[2];
+    for (int k = 0; k < 2; ++k) {
+      RTIC_ASSERT_OK(
+          monitors[k]->CreateTable("P", rtic::testing::IntSchema({"x"})));
+      RTIC_ASSERT_OK(monitors[k]->RegisterConstraint(
+          "never", "forall x: P(x) implies false"));
+      UpdateBatch first_batch(first);
+      first_batch.Insert("P", T(I(1)));
+      first_batch.Insert("P", T(I(2)));
+      ApplyInto(monitors[k], first_batch, &transcripts[k]);
+      EXPECT_EQ(monitors[k]->ApplyUpdate(UpdateBatch(first)).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    EXPECT_NE(transcripts[0].find("violation of"), std::string::npos);
+    EXPECT_EQ(transcripts[1], transcripts[0]);
+    EXPECT_EQ(fresh->current_time(), reference->current_time());
+    EXPECT_EQ(fresh->transition_count(), 1u);
+  }
 }
 
 TEST(ShardedMonitorTest, StatsAggregateAcrossShards) {

@@ -271,7 +271,6 @@ TEST(WalWriterTest, PoisonsAfterFailedAppendInsteadOfStrandingRecords) {
   // The fs works again, but every further write must be refused.
   EXPECT_EQ(writer->Append(2, "would strand").code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(writer->Sync().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer->Rotate().code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(writer->broken().ok());
 
@@ -286,18 +285,19 @@ TEST(WalWriterTest, PoisonsAfterFailedAppendInsteadOfStrandingRecords) {
 
 TEST(WalWriterTest, PoisonsAfterFailedSync) {
   const std::string dir = MakeTempDir();
-  // kBatch writer: open (1), append (2), flush (3); the explicit Sync is
-  // op 4 and faults.
-  FaultInjectingFs fs(DefaultFs(), /*trigger_op=*/4, FaultKind::kFailWrite);
+  // kAlways writer: open (1), then per append a file Append and a Sync;
+  // the second record's Sync is op 5 and faults.
+  FaultInjectingFs fs(DefaultFs(), /*trigger_op=*/5, FaultKind::kFailWrite);
   WalWriter::Options options;
-  options.sync_policy = SyncPolicy::kBatch;
+  options.sync_policy = SyncPolicy::kAlways;
   std::unique_ptr<WalWriter> writer =
       Unwrap(WalWriter::Open(&fs, dir, options, 1));
   RTIC_ASSERT_OK(writer->Append(1, "a"));
-  EXPECT_FALSE(writer->Sync().ok());
+  EXPECT_FALSE(writer->Append(2, "b").ok());
+  ASSERT_TRUE(fs.dead()) << "the trigger op count must hit the sync";
   // Poisoned, not merely unlucky: the refusal is FailedPrecondition from
   // the writer itself, before the (dead) fs is ever consulted.
-  EXPECT_EQ(writer->Append(2, "b").code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(writer->Append(2, "c").code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(writer->broken().ok());
 }
 
