@@ -32,7 +32,11 @@
 # Build directories: build/ (plain RelWithDebInfo), build-asan/
 # (RTIC_SANITIZE=address), build-asan-ubsan/
 # (RTIC_SANITIZE=address+undefined), and build-tsan/
-# (RTIC_SANITIZE=thread). All are created on demand and reused.
+# (RTIC_SANITIZE=thread). All are created on demand and reused. The
+# sanitizer trees compile only what they run: build-asan/ and build-tsan/
+# are configured without benchmarks and examples, and build-asan-ubsan/
+# builds the test binaries (the `rtic_tests` target) plus
+# bench_e13_checkpoint.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -130,13 +134,16 @@ if [[ "$FAST" == 1 ]]; then
 fi
 
 echo "== asan: unit + fuzz + fault labels (build-asan/) =="
-cmake -B build-asan -S . -DRTIC_SANITIZE=address >/dev/null
+cmake -B build-asan -S . -DRTIC_SANITIZE=address \
+  -DRTIC_BUILD_BENCHMARKS=OFF -DRTIC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" -L 'unit|fuzz|fault')
 
 echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + reuse_test + bench_e13 smoke (build-asan-ubsan/) =="
-cmake -B build-asan-ubsan -S . -DRTIC_SANITIZE=address+undefined >/dev/null
-cmake --build build-asan-ubsan -j "$JOBS"
+cmake -B build-asan-ubsan -S . -DRTIC_SANITIZE=address+undefined \
+  -DRTIC_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-asan-ubsan -j "$JOBS" \
+  --target rtic_tests bench_e13_checkpoint
 (cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -L 'checkpoint|shard|anchor|workload')
 (cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -R '^(KeptResultTest|BatchAbsorbTest)\.')
 # A 30-second cap keeps the smoke cheap: one small-state full-vs-delta pair
@@ -146,7 +153,8 @@ timeout 30 ./build-asan-ubsan/bench/bench_e13_checkpoint \
   --benchmark_filter='state:1000'
 
 echo "== tsan: parallel + fault + replication + server + shard + anchor labels + shared subplans (build-tsan/) =="
-cmake -B build-tsan -S . -DRTIC_SANITIZE=thread >/dev/null
+cmake -B build-tsan -S . -DRTIC_SANITIZE=thread \
+  -DRTIC_BUILD_BENCHMARKS=OFF -DRTIC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSan slows the exhaustive crash matrices ~10x; subsample their fault
 # triggers so the fault and replication labels stay inside their

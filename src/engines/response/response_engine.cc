@@ -115,7 +115,14 @@ fo::EvalContext ResponseEngine::ContextFor(const Database& state) {
   ctx.analysis = &analysis_;
   ctx.extra_constants = &options_.extra_constants;
   ctx.domain = &domain_;
+  ctx.scratch = &scratch_;
   return ctx;
+}
+
+Result<Relation> ResponseEngine::Evaluate(const Formula& f,
+                                          const Database& state) {
+  scratch_.ClearReads();
+  return fo::Evaluate(f, ContextFor(state));
 }
 
 Result<bool> ResponseEngine::OnTransition(const Database& state,
@@ -126,18 +133,19 @@ Result<bool> ResponseEngine::OnTransition(const Database& state,
         " after " + std::to_string(prev_time_));
   }
   domain_.Absorb(state);
-  fo::EvalContext ctx = ContextFor(state);
 
   // 1. New obligations from the trigger.
-  RTIC_ASSIGN_OR_RETURN(Relation triggered, fo::Evaluate(*trigger_, ctx));
+  RTIC_ASSIGN_OR_RETURN(Relation triggered, Evaluate(*trigger_, state));
   for (const Tuple& row : triggered.rows()) {
     obligations_[row].push_back(t);
   }
 
   // 2. Discharge: a response now meets every obligation whose window
-  //    contains the current distance.
-  RTIC_ASSIGN_OR_RETURN(Relation responded, fo::Evaluate(*response_, ctx));
+  //    contains the current distance. With no response there is nothing
+  //    to probe, so the pass over pending obligations is skipped.
+  RTIC_ASSIGN_OR_RETURN(Relation responded, Evaluate(*response_, state));
   for (auto& [valuation, timestamps] : obligations_) {
+    if (responded.empty()) break;
     std::vector<Value> proj;
     proj.reserve(response_projection_.size());
     for (std::size_t c : response_projection_) {
@@ -275,6 +283,7 @@ Status ResponseEngine::LoadState(const std::string& data) {
   has_prev_ = has_prev != 0;
   prev_time_ = prev_time;
   last_expired_.clear();
+  scratch_.InvalidateDomain();
   return Status::OK();
 }
 

@@ -98,6 +98,10 @@ class ResponseEngine : public CheckerEngine {
 
   fo::EvalContext ContextFor(const Database& state);
 
+  /// Evaluates `f` against `state` from a cleared read record (nothing
+  /// here reads the record, so this only keeps it from growing).
+  Result<Relation> Evaluate(const tl::Formula& f, const Database& state);
+
   tl::FormulaPtr constraint_;   // the full, closed formula (owned clone)
   tl::Analysis analysis_;
   ResponseOptions options_;
@@ -112,6 +116,7 @@ class ResponseEngine : public CheckerEngine {
 
   std::vector<ExpiredObligation> last_expired_;
   DomainTracker domain_;
+  fo::EvalScratch scratch_;  // atom plans and the atom cache
   bool has_prev_ = false;
   Timestamp prev_time_ = 0;
 };

@@ -53,11 +53,8 @@ class Evaluator {
         // ν ⊨ ∀x̄ φ iff no extension falsifies φ. The falsification set is
         // generated bottom-up (no domain product unless φ is unsafe).
         RTIC_ASSIGN_OR_RETURN(Relation bad, BadSet(f.child(0)));
-        std::vector<std::string> keep;
-        for (const Column& c : ctx_.analysis->ColumnsFor(f)) {
-          keep.push_back(c.name);
-        }
-        RTIC_ASSIGN_OR_RETURN(Relation bad_proj, ra::Project(bad, keep));
+        RTIC_ASSIGN_OR_RETURN(Relation bad_proj,
+                              Canonicalize(std::move(bad), f));
         Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
         return ra::Difference(domain, bad_proj);
       }
@@ -168,7 +165,7 @@ class Evaluator {
     switch (g.kind()) {
       case FormulaKind::kBoolConst:
         return g.bool_value() ? std::move(current)
-                              : Relation(current.columns());
+                              : Relation(current.layout());
       case FormulaKind::kComparison:
         return FilterByComparison(std::move(current), g, /*negated=*/false);
       case FormulaKind::kNot:
@@ -215,7 +212,7 @@ class Evaluator {
   Result<Relation> FilterFalse(Relation current, const Formula& g) {
     switch (g.kind()) {
       case FormulaKind::kBoolConst:
-        return g.bool_value() ? Relation(current.columns())
+        return g.bool_value() ? Relation(current.layout())
                               : std::move(current);
       case FormulaKind::kComparison:
         return FilterByComparison(std::move(current), g, /*negated=*/true);
@@ -302,6 +299,7 @@ class Evaluator {
         }
       }
     }
+    plan.layout = Relation::MakeLayout(columns);
     plan.identity = plan.const_checks.empty() && plan.dup_checks.empty() &&
                     plan.var_pos.size() == f.terms().size();
     for (std::size_t c = 0; plan.identity && c < plan.var_pos.size(); ++c) {
@@ -326,8 +324,6 @@ class Evaluator {
       }
     }
     const std::vector<Column>& columns = ctx_.analysis->ColumnsFor(f);
-    Relation out(columns);
-
     const EvalScratch::AtomPlan* plan;
     EvalScratch::AtomPlan local_plan;
     if (scratch_ != nullptr) {
@@ -341,6 +337,7 @@ class Evaluator {
       plan = &local_plan;
     }
 
+    Relation out(plan->layout);
     const std::size_t n = columns.size();
     for (const Tuple& row : table->rows()) {
       bool match = true;
@@ -393,7 +390,7 @@ class Evaluator {
 
   Result<Relation> FilterByComparison(Relation rel, const Formula& cmp,
                                       bool negated) {
-    Relation out(rel.columns());
+    Relation out(rel.layout());
     if (rel.empty()) return out;
     // Resolve term positions once, not per row.
     const Term& ta = cmp.terms()[0];
@@ -544,22 +541,21 @@ class Evaluator {
     return out;
   }
 
+  /// Projects `rel` onto node's columns (sorted free variables), by
+  /// position; every wanted column must be among rel's.
   Result<Relation> Canonicalize(Relation rel, const Formula& node) {
     const std::vector<Column>& want = ctx_.analysis->ColumnsFor(node);
-    if (rel.columns().size() == want.size()) {
-      bool same = true;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        if (!(rel.columns()[i] == want[i])) {
-          same = false;
-          break;
-        }
+    if (rel.columns() == want) return rel;
+    std::vector<std::size_t> positions(want.size());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      auto i = rel.IndexOf(want[c].name);
+      if (!i.has_value()) {
+        return Status::InvalidArgument("canonicalize: no such column: " +
+                                       want[c].name);
       }
-      if (same) return rel;
+      positions[c] = *i;
     }
-    std::vector<std::string> names;
-    names.reserve(want.size());
-    for (const Column& c : want) names.push_back(c.name);
-    return ra::Project(rel, names);
+    return ra::ProjectPositions(rel, positions, Relation::MakeLayout(want));
   }
 
   Result<Relation> ExtendToColumns(Relation rel,

@@ -63,6 +63,7 @@ struct EvalScratch {
     // repeated variable: (first position, later position) must agree
     std::vector<std::pair<std::size_t, std::size_t>> dup_checks;
     bool identity = false;  // output row is the table row verbatim
+    Relation::Layout layout;  // the scan result's columns
   };
   std::map<const tl::Formula*, AtomPlan> atom_plans;
 

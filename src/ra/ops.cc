@@ -1,6 +1,6 @@
 #include "ra/ops.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <unordered_set>
 
 namespace rtic {
@@ -15,24 +15,54 @@ struct JoinPlan {
   std::vector<std::size_t> b_rest;      // b columns not in a
 };
 
+Status MismatchedJoinType(const Column& c) {
+  return Status::InvalidArgument("join column " + c.name +
+                                 " has mismatched types");
+}
+
+/// Fails iff a same-named column of a and b differs in type. Allocates
+/// nothing, so an empty operand can be answered without a plan.
+Status CheckJoinTypes(const Relation& a, const Relation& b) {
+  for (const Column& c : a.columns()) {
+    auto j = b.IndexOf(c.name);
+    if (j.has_value() && b.columns()[*j].type != c.type) {
+      return MismatchedJoinType(c);
+    }
+  }
+  return Status::OK();
+}
+
 Result<JoinPlan> PlanJoin(const Relation& a, const Relation& b) {
   JoinPlan plan;
-  std::unordered_set<std::size_t> b_used;
   for (std::size_t i = 0; i < a.columns().size(); ++i) {
     auto j = b.IndexOf(a.columns()[i].name);
     if (!j.has_value()) continue;
     if (a.columns()[i].type != b.columns()[*j].type) {
-      return Status::InvalidArgument("join column " + a.columns()[i].name +
-                                     " has mismatched types");
+      return MismatchedJoinType(a.columns()[i]);
     }
     plan.a_key.push_back(i);
     plan.b_key.push_back(*j);
-    b_used.insert(*j);
   }
   for (std::size_t j = 0; j < b.columns().size(); ++j) {
-    if (b_used.find(j) == b_used.end()) plan.b_rest.push_back(j);
+    if (std::find(plan.b_key.begin(), plan.b_key.end(), j) ==
+        plan.b_key.end()) {
+      plan.b_rest.push_back(j);
+    }
   }
   return plan;
+}
+
+/// A join's output columns: a's, then b's columns not in a. Shares an
+/// operand's layout when the other adds no column.
+Relation::Layout JoinLayout(const Relation& a, const Relation& b) {
+  if (a.arity() == 0) return b.layout();
+  std::vector<Column> cols;
+  for (const Column& c : b.columns()) {
+    if (a.IndexOf(c.name).has_value()) continue;
+    if (cols.empty()) cols = a.columns();
+    cols.push_back(c);
+  }
+  return cols.empty() ? a.layout() : Relation::MakeLayout(std::move(cols));
 }
 
 /// Element-wise key equality for an index-probe hit (bucket hashes collide).
@@ -52,17 +82,19 @@ bool IsIdentity(const std::vector<std::size_t>& positions) {
   return true;
 }
 
-/// Maps b's column order onto a's order for Union/Difference/Intersect.
-/// Fails unless b's columns are a name+type permutation of a's.
-Result<std::vector<std::size_t>> AlignColumns(const Relation& a,
-                                              const Relation& b) {
+/// Maps b's column order onto a's order for Union/Difference/Intersect:
+/// `(*b_pos)[i]` is the position in b of a's column i. Fails unless b's
+/// columns are a name+type permutation of a's. With `b_pos` null it only
+/// checks, and allocates nothing.
+Status AlignColumns(const Relation& a, const Relation& b,
+                    std::vector<std::size_t>* b_pos) {
   if (a.columns().size() != b.columns().size()) {
     return Status::InvalidArgument(
         "relations have different arities: " +
         std::to_string(a.columns().size()) + " vs " +
         std::to_string(b.columns().size()));
   }
-  std::vector<std::size_t> b_pos(a.columns().size());
+  if (b_pos != nullptr) b_pos->resize(a.columns().size());
   for (std::size_t i = 0; i < a.columns().size(); ++i) {
     auto j = b.IndexOf(a.columns()[i].name);
     if (!j.has_value()) {
@@ -73,9 +105,9 @@ Result<std::vector<std::size_t>> AlignColumns(const Relation& a,
       return Status::InvalidArgument("column " + a.columns()[i].name +
                                      " has mismatched types");
     }
-    b_pos[i] = *j;
+    if (b_pos != nullptr) (*b_pos)[i] = *j;
   }
-  return b_pos;
+  return Status::OK();
 }
 
 Tuple Reorder(const Tuple& row, const std::vector<std::size_t>& positions) {
@@ -107,16 +139,17 @@ bool HasKeyMatch(const Tuple& arow, const JoinPlan& plan,
 }  // namespace
 
 Result<Relation> NaturalJoin(const Relation& a, const Relation& b) {
-  RTIC_ASSIGN_OR_RETURN(JoinPlan plan, PlanJoin(a, b));
-  // Zero-column sides are booleans: TRUE is the join identity, FALSE
-  // annihilates. Returning the other operand outright shares its rows.
-  if (a.arity() == 0) return a.AsBool() ? b : Relation(b.columns());
-  if (b.arity() == 0) return b.AsBool() ? a : Relation(a.columns());
+  if (a.empty() || b.empty()) {
+    RTIC_RETURN_IF_ERROR(CheckJoinTypes(a, b));
+    return Relation(JoinLayout(a, b));
+  }
+  // Zero-column sides are booleans, and a non-empty one is TRUE: the join
+  // identity. Returning the other operand outright shares its rows.
+  if (a.arity() == 0) return b;
+  if (b.arity() == 0) return a;
 
-  std::vector<Column> out_cols = a.columns();
-  for (std::size_t j : plan.b_rest) out_cols.push_back(b.columns()[j]);
-  Relation out(std::move(out_cols));
-  if (a.empty() || b.empty()) return out;
+  RTIC_ASSIGN_OR_RETURN(JoinPlan plan, PlanJoin(a, b));
+  Relation out(JoinLayout(a, b));
 
   if (plan.b_rest.empty() && FullRowKey(a, b, plan)) {
     // Same-schema join is an intersection; probe b's row set directly.
@@ -147,10 +180,12 @@ Result<Relation> NaturalJoin(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> AntiJoin(const Relation& a, const Relation& b) {
+  if (a.empty() || b.empty()) {
+    RTIC_RETURN_IF_ERROR(CheckJoinTypes(a, b));
+    return a;
+  }
   RTIC_ASSIGN_OR_RETURN(JoinPlan plan, PlanJoin(a, b));
-  if (b.empty()) return a;
-  Relation out(a.columns());
-  if (a.empty()) return out;
+  Relation out(a.layout());
   if (FullRowKey(a, b, plan)) {
     for (const Tuple& arow : a.rows()) {
       if (!b.Contains(arow)) out.InsertUnchecked(arow);
@@ -165,9 +200,12 @@ Result<Relation> AntiJoin(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> SemiJoin(const Relation& a, const Relation& b) {
+  if (a.empty() || b.empty()) {
+    RTIC_RETURN_IF_ERROR(CheckJoinTypes(a, b));
+    return a.empty() ? a : Relation(a.layout());
+  }
   RTIC_ASSIGN_OR_RETURN(JoinPlan plan, PlanJoin(a, b));
-  Relation out(a.columns());
-  if (a.empty() || b.empty()) return out;
+  Relation out(a.layout());
   if (FullRowKey(a, b, plan)) {
     for (const Tuple& arow : a.rows()) {
       if (b.Contains(arow)) out.InsertUnchecked(arow);
@@ -182,7 +220,8 @@ Result<Relation> SemiJoin(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> Union(const Relation& a, const Relation& b) {
-  RTIC_ASSIGN_OR_RETURN(std::vector<std::size_t> b_pos, AlignColumns(a, b));
+  std::vector<std::size_t> b_pos;
+  RTIC_RETURN_IF_ERROR(AlignColumns(a, b, b.empty() ? nullptr : &b_pos));
   if (b.empty()) return a;
   bool identity = IsIdentity(b_pos);
   if (a.empty() && identity) return b;
@@ -194,10 +233,13 @@ Result<Relation> Union(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> Difference(const Relation& a, const Relation& b) {
-  RTIC_ASSIGN_OR_RETURN(std::vector<std::size_t> b_pos, AlignColumns(a, b));
-  if (b.empty()) return a;
-  Relation out(a.columns());
-  if (a.empty()) return out;
+  if (a.empty() || b.empty()) {
+    RTIC_RETURN_IF_ERROR(AlignColumns(a, b, nullptr));
+    return a;
+  }
+  std::vector<std::size_t> b_pos;
+  RTIC_RETURN_IF_ERROR(AlignColumns(a, b, &b_pos));
+  Relation out(a.layout());
   if (IsIdentity(b_pos)) {
     for (const Tuple& row : a.rows()) {
       if (!b.Contains(row)) out.InsertUnchecked(row);
@@ -214,9 +256,13 @@ Result<Relation> Difference(const Relation& a, const Relation& b) {
 }
 
 Result<Relation> Intersect(const Relation& a, const Relation& b) {
-  RTIC_ASSIGN_OR_RETURN(std::vector<std::size_t> b_pos, AlignColumns(a, b));
-  Relation out(a.columns());
-  if (a.empty() || b.empty()) return out;
+  if (a.empty() || b.empty()) {
+    RTIC_RETURN_IF_ERROR(AlignColumns(a, b, nullptr));
+    return a.empty() ? a : Relation(a.layout());
+  }
+  std::vector<std::size_t> b_pos;
+  RTIC_RETURN_IF_ERROR(AlignColumns(a, b, &b_pos));
+  Relation out(a.layout());
   if (IsIdentity(b_pos)) {
     for (const Tuple& row : a.rows()) {
       if (b.Contains(row)) out.InsertUnchecked(row);
@@ -248,6 +294,13 @@ Result<Relation> Project(const Relation& a,
   // Projecting onto all columns in order is the identity.
   if (positions.size() == a.arity() && IsIdentity(positions)) return a;
   RTIC_ASSIGN_OR_RETURN(Relation out, Relation::Make(std::move(out_cols)));
+  return ProjectPositions(a, positions, out.layout());
+}
+
+Relation ProjectPositions(const Relation& a,
+                          const std::vector<std::size_t>& positions,
+                          Relation::Layout layout) {
+  Relation out(std::move(layout));
   for (const Tuple& row : a.rows()) {
     out.InsertUnchecked(Reorder(row, positions));
   }

@@ -41,6 +41,13 @@ Result<Relation> Intersect(const Relation& a, const Relation& b);
 Result<Relation> Project(const Relation& a,
                          const std::vector<std::string>& columns);
 
+/// Projection by position: output column i is a's column `positions[i]`,
+/// labelled by `layout`'s column i, which must have that column's type.
+/// Duplicates collapse. For callers that resolved the names already.
+Relation ProjectPositions(const Relation& a,
+                          const std::vector<std::size_t>& positions,
+                          Relation::Layout layout);
+
 /// Cross product; column sets must be disjoint.
 Result<Relation> CrossProduct(const Relation& a, const Relation& b);
 

@@ -1,7 +1,6 @@
 #include "ra/relation.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/hash.h"
 
@@ -15,6 +14,11 @@ std::size_t HashTupleKey(const Tuple& t,
     HashCombine(&seed, h);
   }
   return seed;
+}
+
+const std::vector<Column>& Relation::EmptyColumns() {
+  static const std::vector<Column> kEmpty;
+  return kEmpty;
 }
 
 const std::unordered_set<Tuple, TupleHash>& Relation::EmptyRows() {
@@ -40,47 +44,62 @@ Relation::Rep& Relation::MutableRep() {
   return *rep_;
 }
 
+Relation::Layout Relation::MakeLayout(std::vector<Column> columns) {
+  if (columns.empty()) return nullptr;
+  return std::make_shared<const std::vector<Column>>(std::move(columns));
+}
+
 Result<Relation> Relation::Make(std::vector<Column> columns) {
-  std::unordered_set<std::string> seen;
-  for (const Column& c : columns) {
-    if (!seen.insert(c.name).second) {
-      return Status::InvalidArgument("duplicate relation column: " + c.name);
+  // Relations are narrow: a pairwise scan beats hashing every name.
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (columns[j].name == columns[i].name) {
+        return Status::InvalidArgument("duplicate relation column: " +
+                                       columns[i].name);
+      }
     }
   }
   return Relation(std::move(columns));
 }
 
 Relation Relation::True() {
-  Relation r;
-  r.InsertUnchecked(Tuple{});
-  return r;
+  // The static copy keeps the row set shared, so a caller's insert always
+  // detaches its own copy and this one keeps exactly one row.
+  static const Relation kTrue = [] {
+    Relation r;
+    r.InsertUnchecked(Tuple{});
+    return r;
+  }();
+  return kTrue;
 }
 
 std::optional<std::size_t> Relation::IndexOf(const std::string& name) const {
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return i;
+  const std::vector<Column>& cols = columns();
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    if (cols[i].name == name) return i;
   }
   return std::nullopt;
 }
 
 std::vector<std::string> Relation::ColumnNames() const {
   std::vector<std::string> out;
-  out.reserve(columns_.size());
-  for (const Column& c : columns_) out.push_back(c.name);
+  out.reserve(arity());
+  for (const Column& c : columns()) out.push_back(c.name);
   return out;
 }
 
 Status Relation::Insert(Tuple row) {
-  if (row.size() != columns_.size()) {
+  const std::vector<Column>& cols = columns();
+  if (row.size() != cols.size()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) +
-        " does not match relation arity " + std::to_string(columns_.size()));
+        " does not match relation arity " + std::to_string(cols.size()));
   }
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (row.at(i).type() != columns_[i].type) {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    if (row.at(i).type() != cols[i].type) {
       return Status::InvalidArgument(
           "row value " + row.at(i).ToString() + " at column " +
-          columns_[i].name + " has wrong type");
+          cols[i].name + " has wrong type");
     }
   }
   InsertUnchecked(std::move(row));
@@ -149,21 +168,19 @@ std::vector<Tuple> Relation::SortedRows() const {
 }
 
 bool Relation::operator==(const Relation& o) const {
-  if (columns_.size() != o.columns_.size()) return false;
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    if (!(columns_[i] == o.columns_[i])) return false;
-  }
+  if (layout_ != o.layout_ && columns() != o.columns()) return false;
   if (rep_ == o.rep_) return true;
   return rows() == o.rows();
 }
 
 std::string Relation::ToString() const {
   std::string out = "(";
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
+  const std::vector<Column>& cols = columns();
+  for (std::size_t i = 0; i < cols.size(); ++i) {
     if (i > 0) out += ", ";
-    out += columns_[i].name;
+    out += cols[i].name;
     out += ": ";
-    out += ValueTypeToString(columns_[i].type);
+    out += ValueTypeToString(cols[i].type);
   }
   out += ") {\n";
   for (const Tuple& t : SortedRows()) {

@@ -6,11 +6,14 @@
 // relation containing the single empty tuple is TRUE. Closed formulas
 // evaluate to one of these two.
 //
-// Row storage is copy-on-write: copying a Relation is O(columns), and the
-// copies share one row set until one of them is mutated. Join indexes built
-// by GetIndex are cached on the shared row storage, so a relation that is
-// repeatedly joined on the same key (auxiliary state across transitions)
-// pays for the index once and maintains it incrementally on insert.
+// Copying a Relation allocates nothing. The column layout is immutable and
+// shared, so a copy, and a result built over an operand's columns, bumps a
+// refcount instead of copying the column list. Row storage is
+// copy-on-write: copies share one row set until one of them is mutated.
+// Join indexes built by GetIndex are cached on the shared row storage, so a
+// relation that is repeatedly joined on the same key (auxiliary state across
+// transitions) pays for the index once and maintains it incrementally on
+// insert.
 
 #ifndef RTIC_RA_RELATION_H_
 #define RTIC_RA_RELATION_H_
@@ -44,24 +47,38 @@ class Relation {
     std::unordered_map<std::size_t, std::vector<const Tuple*>> buckets;
   };
 
+  /// An immutable column list that relations share; null for zero
+  /// columns.
+  using Layout = std::shared_ptr<const std::vector<Column>>;
+
   /// Empty relation with no columns (boolean FALSE).
   Relation() = default;
 
-  /// Empty relation with the given columns.
+  /// Empty relation with the given columns (allocates a new layout).
   explicit Relation(std::vector<Column> columns)
-      : columns_(std::move(columns)) {}
+      : layout_(MakeLayout(std::move(columns))) {}
+
+  /// Empty relation on an existing layout (allocates nothing).
+  explicit Relation(Layout layout) : layout_(std::move(layout)) {}
+
+  /// A layout holding `columns`; null when there are none.
+  static Layout MakeLayout(std::vector<Column> columns);
 
   /// Validating factory: rejects duplicate column names.
   static Result<Relation> Make(std::vector<Column> columns);
 
-  /// The zero-column TRUE relation (one empty tuple).
+  /// The zero-column TRUE relation (one empty tuple). Every TRUE shares one
+  /// row set; copy-on-write detaches a copy that is mutated.
   static Relation True();
 
   /// The zero-column FALSE relation (no tuples).
   static Relation False() { return Relation(); }
 
-  const std::vector<Column>& columns() const { return columns_; }
-  std::size_t arity() const { return columns_.size(); }
+  const std::vector<Column>& columns() const {
+    return layout_ ? *layout_ : EmptyColumns();
+  }
+  const Layout& layout() const { return layout_; }
+  std::size_t arity() const { return layout_ ? layout_->size() : 0; }
 
   /// Index of column `name`, or nullopt.
   std::optional<std::size_t> IndexOf(const std::string& name) const;
@@ -136,13 +153,14 @@ class Relation {
     mutable std::vector<std::unique_ptr<Index>> indexes;
   };
 
+  static const std::vector<Column>& EmptyColumns();
   static const std::unordered_set<Tuple, TupleHash>& EmptyRows();
   static const Index& EmptyIndex();
 
   /// Detaches from shared row storage before mutation (copy-on-write).
   Rep& MutableRep();
 
-  std::vector<Column> columns_;
+  Layout layout_;             // null => no columns
   std::shared_ptr<Rep> rep_;  // null => no rows
 };
 

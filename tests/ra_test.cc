@@ -27,6 +27,49 @@ TEST(RelationTest, TrueAndFalseAreZeroColumnBooleans) {
   EXPECT_EQ(Relation::False().size(), 0u);
 }
 
+TEST(RelationTest, TrueCopiesShareOneRowSet) {
+  Relation a = Relation::True();
+  Relation b = Relation::True();
+  ASSERT_NE(a.RowIdentity(), nullptr);
+  EXPECT_EQ(a.RowIdentity(), b.RowIdentity());
+  // An insert into a copy detaches that copy; TRUE keeps its one row.
+  Relation c = Relation::True();
+  c.InsertUnchecked(Tuple{});  // already present: still detaches first
+  EXPECT_NE(c.RowIdentity(), a.RowIdentity());
+  EXPECT_EQ(c.size(), 1u);
+  EXPECT_EQ(Relation::True().size(), 1u);
+  EXPECT_EQ(Relation::True().RowIdentity(), a.RowIdentity());
+  EXPECT_TRUE(Relation::True().Contains(Tuple{}));
+}
+
+TEST(RelationTest, InsertIntoTrueCopyLeavesTrueWithOneRow) {
+  // Mutating a copy of TRUE must never reach the shared row set, even
+  // through a row TRUE cannot hold.
+  Relation copy = Relation::True();
+  copy.InsertUnchecked(T(I(7)));
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(Relation::True().size(), 1u);
+  EXPECT_FALSE(Relation::True().Contains(T(I(7))));
+  Relation erased = Relation::True();
+  EXPECT_TRUE(erased.Erase(Tuple{}));
+  EXPECT_TRUE(erased.empty());
+  EXPECT_TRUE(Relation::True().AsBool());
+}
+
+TEST(RelationTest, CopiesShareTheColumnLayout) {
+  Relation a = IntRelation({"x", "y"}, {{1, 2}});
+  Relation b = a;
+  EXPECT_EQ(&a.columns(), &b.columns());
+  // A mutated copy detaches its rows but keeps sharing the columns.
+  b.InsertUnchecked(T(I(3), I(4)));
+  EXPECT_EQ(&a.columns(), &b.columns());
+  EXPECT_EQ(a.size(), 1u);
+  // An operator result over the left operand's columns shares them too.
+  Relation filtered = Unwrap(ra::SemiJoin(b, IntRelation({"x"}, {{3}})));
+  EXPECT_EQ(&filtered.columns(), &b.columns());
+  EXPECT_EQ(filtered, IntRelation({"x", "y"}, {{3, 4}}));
+}
+
 TEST(RelationTest, MakeRejectsDuplicateColumns) {
   EXPECT_FALSE(Relation::Make(IntCols({"x", "x"})).ok());
   EXPECT_TRUE(Relation::Make(IntCols({"x", "y"})).ok());
@@ -121,6 +164,68 @@ TEST(SemiJoinTest, ComplementsAntiJoin) {
   Relation anti = Unwrap(ra::AntiJoin(a, b));
   EXPECT_EQ(Unwrap(ra::Union(semi, anti)), a);
   EXPECT_EQ(semi.size() + anti.size(), a.size());
+}
+
+// ---- Empty operands -----------------------------------------------------------
+// The joins answer an empty operand without planning the join, but still
+// type-check the join columns first, and an empty result keeps the left
+// operand's columns.
+
+TEST(EmptyOperandTest, MismatchedJoinTypesFailEvenWhenEmpty) {
+  Relation ints = IntRelation({"x"}, {{1}});
+  Relation empty_ints(IntCols({"x"}));
+  Relation strs({Column{"x", ValueType::kString}});  // empty
+  Relation some_strs({Column{"x", ValueType::kString}});
+  RTIC_ASSERT_OK(some_strs.Insert(T(S("a"))));
+  for (const Relation* a : {&ints, &empty_ints}) {
+    for (const Relation* b : {&strs, &some_strs}) {
+      EXPECT_EQ(ra::AntiJoin(*a, *b).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(ra::SemiJoin(*a, *b).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(ra::NaturalJoin(*a, *b).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(ra::Difference(*a, *b).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(EmptyOperandTest, EmptyResultsKeepTheLeftColumns) {
+  Relation a = IntRelation({"x", "y"}, {{1, 10}, {2, 20}});
+  Relation empty_a(IntCols({"x", "y"}));
+  Relation b = IntRelation({"y", "z"}, {{10, 100}});
+  Relation empty_b(IntCols({"y", "z"}));
+
+  Relation anti = Unwrap(ra::AntiJoin(empty_a, b));
+  EXPECT_TRUE(anti.empty());
+  EXPECT_EQ(anti.columns(), IntCols({"x", "y"}));
+  EXPECT_EQ(Unwrap(ra::AntiJoin(a, empty_b)), a);
+
+  Relation semi = Unwrap(ra::SemiJoin(a, empty_b));
+  EXPECT_TRUE(semi.empty());
+  EXPECT_EQ(&semi.columns(), &a.columns());
+  EXPECT_EQ(Unwrap(ra::SemiJoin(empty_a, b)).columns(), IntCols({"x", "y"}));
+
+  // A join's columns are the left operand's, then the right's new ones.
+  for (const auto& [l, r] :
+       {std::pair{&a, &empty_b}, std::pair{&empty_a, &b},
+        std::pair{&empty_a, &empty_b}}) {
+    Relation joined = Unwrap(ra::NaturalJoin(*l, *r));
+    EXPECT_TRUE(joined.empty());
+    EXPECT_EQ(joined.columns(), IntCols({"x", "y", "z"}));
+  }
+  Relation within = Unwrap(ra::NaturalJoin(a, Relation(IntCols({"y"}))));
+  EXPECT_TRUE(within.empty());
+  EXPECT_EQ(&within.columns(), &a.columns());
+  Relation with_false = Unwrap(ra::NaturalJoin(Relation::False(), b));
+  EXPECT_TRUE(with_false.empty());
+  EXPECT_EQ(with_false.columns(), IntCols({"y", "z"}));
+
+  Relation diff = Unwrap(ra::Difference(empty_a, a));
+  EXPECT_TRUE(diff.empty());
+  EXPECT_EQ(diff.columns(), IntCols({"x", "y"}));
+  EXPECT_EQ(Unwrap(ra::Difference(a, Relation(IntCols({"y", "x"})))), a);
 }
 
 // ---- Union / Difference / Intersect ----------------------------------------------

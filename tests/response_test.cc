@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "engines/response/response_engine.h"
@@ -304,6 +305,12 @@ TEST_P(ResponseRandomTest, OnlineMatchesOfflineReference) {
     steps.push_back(std::move(step));
   }
 
+  // The same stream also runs through an engine that a fresh engine
+  // replaces every `every` states, restored from its SaveState: it must
+  // match the uninterrupted engine at every state.
+  const std::size_t every = 1 + GetParam() % 5;
+  auto restored = MakeResponse(text);
+
   std::set<std::pair<std::size_t, std::int64_t>> got;
   for (std::size_t k = 0; k < steps.size(); ++k) {
     Database state = Unwrap(BuildState(schemas, steps[k]));
@@ -315,6 +322,22 @@ TEST_P(ResponseRandomTest, OnlineMatchesOfflineReference) {
     } else {
       EXPECT_TRUE(engine->LastExpired().empty());
     }
+
+    if (k > 0 && k % every == 0) {
+      const std::string saved = Unwrap(restored->SaveState());
+      restored = MakeResponse(text);
+      RTIC_ASSERT_OK(restored->LoadState(saved));
+    }
+    EXPECT_EQ(Unwrap(restored->OnTransition(state, steps[k].t)), ok)
+        << text << " at state " << k << ", restored every " << every;
+    ASSERT_EQ(restored->LastExpired().size(), engine->LastExpired().size());
+    for (std::size_t i = 0; i < engine->LastExpired().size(); ++i) {
+      EXPECT_EQ(restored->LastExpired()[i].valuation,
+                engine->LastExpired()[i].valuation);
+      EXPECT_EQ(restored->LastExpired()[i].trigger_time,
+                engine->LastExpired()[i].trigger_time);
+    }
+    EXPECT_EQ(restored->PendingObligations(), engine->PendingObligations());
   }
   EXPECT_EQ(got, OfflineExpected(steps, lo, hi)) << text;
 }

@@ -37,7 +37,7 @@ void WriteWholeFile(Fs* fs, const std::string& path, std::string_view data) {
 // ---- record framing ----------------------------------------------------------
 
 TEST(WalFormatTest, RecordRoundTrip) {
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(), std::string("hello"), std::string(1000, 'x'),
         std::string("\0\xff\n with bytes", 14)}) {
     std::string rec = EncodeRecord(42, payload);
