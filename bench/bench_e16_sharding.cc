@@ -5,20 +5,17 @@
 // — every one of the nine alarm/payroll/library constraints classifies
 // partition-local under entity-keyed tables (partition_local_fraction =
 // 1.0), so a sharded monitor runs them with no coordinator at all and
-// per-transition work splits across shards. On a single core the scale
-// curve shows the overhead side of the ledger (routing + N lockstep
-// sub-applies per transition); with a thread pool the same curve shows the
-// fan-out. A cross-shard constraint forces the coordinator's full-stream
-// monitor up, bounding what misclassification would cost.
+// per-transition work splits across shards. The scale curve shows the
+// overhead side of the ledger (routing + N lockstep sub-applies per
+// transition, one after another on the calling thread). A cross-shard
+// constraint forces the coordinator's full-stream monitor up, bounding what
+// misclassification would cost.
 //
-// Three benchmarks:
+// Two benchmarks:
 //
 //   BM_E16_ShardScale — the combined library workload through
-//     ShardedMonitor with shards in {1, 2, 4, 8}, serial fan-out.
+//     ShardedMonitor with shards in {1, 2, 4, 8}.
 //     Counters: updates/s, partition-local fraction, violations.
-//
-//   BM_E16_ShardScaleParallel — same, with num_threads = shards (each
-//     shard checked on its own pool thread).
 //
 //   BM_E16_CoordinatorOverhead — same workload with one deliberately
 //     cross-shard constraint added: every transition now also runs through
@@ -33,7 +30,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -52,13 +48,9 @@ workload::Workload LibraryWorkload() {
 }
 
 std::unique_ptr<shard::ShardedMonitor> MakeSharded(
-    const workload::Workload& w, std::size_t shards,
-    std::size_t num_threads) {
-  MonitorOptions options;
-  options.num_threads = num_threads;
+    const workload::Workload& w, std::size_t shards) {
   auto monitor =
-      bench::CheckOk(shard::ShardedMonitor::Create(shards, std::move(options)),
-                     "Create");
+      bench::CheckOk(shard::ShardedMonitor::Create(shards), "Create");
   for (const auto& [name, schema] : w.schema) {
     bench::CheckOk(monitor->CreateTable(name, schema), "CreateTable");
   }
@@ -74,8 +66,7 @@ std::size_t TupleCount(const workload::Workload& w) {
   return n;
 }
 
-void RunShardScale(benchmark::State& state, std::size_t num_threads,
-                   bool add_cross_shard) {
+void RunShardScale(benchmark::State& state, bool add_cross_shard) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   auto w = LibraryWorkload();
   if (add_cross_shard) {
@@ -92,7 +83,7 @@ void RunShardScale(benchmark::State& state, std::size_t num_threads,
   double local_fraction = 0;
   std::size_t violations = 0;
   for (auto _ : state) {
-    auto monitor = MakeSharded(w, shards, num_threads);
+    auto monitor = MakeSharded(w, shards);
     const auto start = std::chrono::steady_clock::now();
     for (const auto& batch : w.batches) {
       auto verdict = bench::CheckOk(monitor->ApplyUpdate(batch), "ApplyUpdate");
@@ -116,30 +107,16 @@ void RunShardScale(benchmark::State& state, std::size_t num_threads,
 }
 
 void BM_E16_ShardScale(benchmark::State& state) {
-  RunShardScale(state, /*num_threads=*/1, /*add_cross_shard=*/false);
-}
-
-void BM_E16_ShardScaleParallel(benchmark::State& state) {
-  RunShardScale(state, static_cast<std::size_t>(state.range(0)),
-                /*add_cross_shard=*/false);
+  RunShardScale(state, /*add_cross_shard=*/false);
 }
 
 void BM_E16_CoordinatorOverhead(benchmark::State& state) {
-  RunShardScale(state, /*num_threads=*/1, /*add_cross_shard=*/true);
+  RunShardScale(state, /*add_cross_shard=*/true);
 }
 
 BENCHMARK(BM_E16_ShardScale)
     ->ArgName("shards")
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Iterations(1)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_E16_ShardScaleParallel)
-    ->ArgName("shards")
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)

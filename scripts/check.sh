@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide verification: the tier-1 suite, a cookbook smoke running every
+# Repo-wide verification: the tier-1 suite, a label guard (every ctest label
+# is documented in README's label paragraph and in the header comment of
+# tests/CMakeLists.txt), a cookbook smoke running every
 # scenario_runner command printed in docs/SCENARIOS.md, an AddressSanitizer
 # pass over the unit, fuzz, and fault ctest labels (the unit label includes
 # memory_bound_test, the live-heap bound, which counts under ASan too and
@@ -13,18 +15,14 @@
 # span arithmetic; the workload label sweeps the scenario generators and
 # the open-loop driver), a ThreadSanitizer pass over the parallel, fault,
 # replication, server, shard, and anchor labels (concurrent WAL appends,
-# the crash matrices, the background shipper thread, the multi-session TCP
-# server, and the sharded monitor's fan-out pool are the concurrency-heavy
-# paths),
-# and a perf-regression gate over the two newest BENCH_*.json
-# files from scripts/bench.sh (skipped until two runs exist).
+# the crash matrices, the background shipper thread, and the multi-session
+# TCP server, whose tenants each check on their own worker thread, are the
+# concurrency-heavy paths; every monitor checks its constraints on the
+# calling thread), and a perf-regression gate over the two newest
+# BENCH_*.json files from scripts/bench.sh (skipped until two runs exist).
 # The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
 # suites (tests/reuse_test.cc: kept-result keys hold table pointers, and
-# tables hold batch records). The TSan pass also runs the shared-subplan
-# cases of a pooled monitor: KeptResultTest's parallel cases and the
-# SharedSubplanFuzzTest seeds (fuzz label, 8 threads), where engines read
-# subplan objects that another engine wrote on another thread just before
-# the fan-out.
+# tables hold batch records).
 #
 #   scripts/check.sh           # full run (tier-1 + asan + asan+ubsan + tsan)
 #   scripts/check.sh --fast    # tier-1 only (perf gate still runs)
@@ -49,6 +47,34 @@ echo "== tier-1: configure + build + full ctest (build/) =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+# Label guard: the label lists in README and tests/CMakeLists.txt are kept
+# by hand, so fail when ctest reports a label either of them omits.
+echo "== label guard: ctest labels in README and tests/CMakeLists.txt =="
+mapfile -t labels < <(cd build && ctest --print-labels |
+  sed -n '/^All Labels:/,$p' | tail -n +2 | sed 's/^ *//')
+if [[ ${#labels[@]} -eq 0 ]]; then
+  echo "label guard: ctest --print-labels reported no label" >&2
+  exit 1
+fi
+readme_labels="$(awk '/^Tests carry ctest labels/,/^$/' README.md)"
+cmake_header="$(awk '!/^#/{exit} {print}' tests/CMakeLists.txt)"
+undocumented=0
+for label in "${labels[@]}"; do
+  if ! grep -qF "\`$label\`" <<<"$readme_labels"; then
+    echo "label guard: '$label' is missing from README's label paragraph" >&2
+    undocumented=1
+  fi
+  if ! grep -qE "^#[[:space:]]+$label[[:space:]]+—" <<<"$cmake_header"; then
+    echo "label guard: '$label' is missing from tests/CMakeLists.txt's" \
+      "header comment" >&2
+    undocumented=1
+  fi
+done
+if [[ "$undocumented" != 0 ]]; then
+  exit 1
+fi
+echo "label guard: ${#labels[@]} labels documented"
 
 # Cookbook smoke: every line of docs/SCENARIOS.md that begins with
 # ./build/examples/scenario_runner runs as written, so every copy-paste
@@ -152,7 +178,7 @@ cmake --build build-asan-ubsan -j "$JOBS" \
 timeout 30 ./build-asan-ubsan/bench/bench_e13_checkpoint \
   --benchmark_filter='state:1000'
 
-echo "== tsan: parallel + fault + replication + server + shard + anchor labels + shared subplans (build-tsan/) =="
+echo "== tsan: parallel + fault + replication + server + shard + anchor labels (build-tsan/) =="
 cmake -B build-tsan -S . -DRTIC_SANITIZE=thread \
   -DRTIC_BUILD_BENCHMARKS=OFF -DRTIC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
@@ -163,7 +189,5 @@ cmake --build build-tsan -j "$JOBS"
 (cd build-tsan && RTIC_MATRIX_STRIDE=7 \
   ctest --output-on-failure -j "$JOBS" \
   -L 'parallel|fault|replication|server|shard|anchor')
-(cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R '^(KeptResultTest\.Parallel|Seeds/SharedSubplanFuzzTest\.)')
 
 echo "== ok =="

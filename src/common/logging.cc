@@ -9,8 +9,8 @@ namespace rtic {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarning};
 
-// Serializes emission so lines from concurrent monitor check threads do
-// not interleave mid-line.
+// Serializes emission so lines from concurrent threads (tenant workers,
+// the log shipper) do not interleave mid-line.
 std::mutex& EmitMutex() {
   static std::mutex mu;
   return mu;

@@ -1,7 +1,7 @@
 // Minimal leveled logging to stderr, dependency-free. Thread-safe: the
 // level filter is atomic and whole lines are emitted under a mutex, so
-// messages from the monitor's parallel constraint checks never interleave
-// mid-line.
+// messages from the server's tenant workers and the log shipper never
+// interleave mid-line.
 
 #ifndef RTIC_COMMON_LOGGING_H_
 #define RTIC_COMMON_LOGGING_H_

@@ -20,16 +20,12 @@ namespace rtic {
 
 /// One registered constraint's checking strategy.
 ///
-/// Thread safety contract (relied on by ConstraintMonitor's parallel
-/// fan-out): an engine instance is NOT internally synchronized — it is
-/// driven by at most one thread at a time. Distinct engine instances may
-/// run concurrently against the same `state`, which they must treat as
-/// strictly read-only; all of an engine's mutable state (aux relations,
-/// domain tracker, history copies) must be owned by the engine itself. The
-/// one exception is incremental engines linked by an inc::SubplanDag: each
-/// shared object is written by one engine and only read by the others, so
-/// the writer must finish its transition before any reader starts (the
-/// monitor checks writers first; see subplan_dag.h).
+/// An engine treats `state` as read-only and owns all of its mutable state
+/// (aux relations, domain tracker, history copies). The one exception is
+/// incremental engines linked by an inc::SubplanDag: each shared object is
+/// written by one engine and only read by the others, so the writer must
+/// finish its transition before any reader starts (the monitor checks in
+/// registration order; see subplan_dag.h). Not thread-safe.
 class CheckerEngine {
  public:
   virtual ~CheckerEngine() = default;

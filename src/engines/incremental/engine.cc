@@ -293,6 +293,12 @@ std::size_t IncrementalEngine::AuxValuationCount() const {
   return n;
 }
 
+std::size_t IncrementalEngine::WrittenObjects() const {
+  std::size_t n = (domain_.writer ? 1 : 0) + (verdict_.writer ? 1 : 0);
+  for (const auto& node : nodes_) n += node.writer ? 1 : 0;
+  return n;
+}
+
 namespace {
 
 constexpr char kCheckpointMagic[] = "RTICINC1";

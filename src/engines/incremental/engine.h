@@ -117,9 +117,10 @@ class IncrementalEngine : public CheckerEngine {
   /// off again. 0 for a standalone engine.
   std::size_t SharedSubplans() const override { return shared_subplans_; }
 
-  /// True when another engine of this engine's SubplanDag reads an object
-  /// this engine writes, so this engine must be checked before it.
-  bool HasReaders() const { return has_readers_; }
+  /// How many of the objects this engine uses (its domain tracker, temporal
+  /// nodes and verdict) it writes itself; a SubplanDag leaves the others to
+  /// the engine added earlier that writes them.
+  std::size_t WrittenObjects() const;
 
   /// Total anchor timestamps retained across all aux tables (space metric
   /// for E2/E6; StorageRows also counts previous-node relations). O(nodes):
@@ -241,7 +242,6 @@ class IncrementalEngine : public CheckerEngine {
   Slot<DomainTracker> domain_;
   Slot<inc::Verdict> verdict_;
   std::size_t shared_subplans_ = 0;
-  bool has_readers_ = false;
   fo::EvalScratch scratch_;
   std::vector<Kept> kept_;  // per evaluation site (see EvaluateKept)
   bool has_prev_ = false;

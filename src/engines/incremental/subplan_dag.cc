@@ -5,6 +5,7 @@
 #include <memory>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "engines/incremental/engine.h"
@@ -142,15 +143,12 @@ Status SubplanDag::LoadState(const std::vector<const std::string*>& blobs) {
 }
 
 void SubplanDag::AssignWriters() {
-  std::unordered_map<const void*, IncrementalEngine*> writers;
-  for (Member& m : members_) m.engine->has_readers_ = false;
+  std::unordered_set<const void*> written;
+  auto assign = [&](const void* object, bool* writer) {
+    *writer = written.insert(object).second;
+  };
   for (Member& m : members_) {
     IncrementalEngine* e = m.engine;
-    auto assign = [&](const void* object, bool* writer) {
-      auto [it, first] = writers.emplace(object, e);
-      *writer = first;
-      if (it->second != e) it->second->has_readers_ = true;
-    };
     assign(e->domain_.state.get(), &e->domain_.writer);
     for (auto& node : e->nodes_) assign(node.state.get(), &node.writer);
     assign(e->verdict_.state.get(), &e->verdict_.writer);

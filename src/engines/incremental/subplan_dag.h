@@ -21,11 +21,9 @@
 // subformula). The writer updates the object inside its own OnTransition,
 // with its own formula, analysis and scratch; every other engine only reads
 // it. Registration order is therefore a topological order of the DAG, and
-// checking engines in that order (the monitor's serial path) updates every
-// object before anyone reads it, with no lock and no counter. Under a
-// thread pool the monitor checks the engines that have readers
-// (IncrementalEngine::HasReaders) serially first and fans out the rest.
-// Removing a writer hands each of its objects to the next live reader. (A
+// checking engines in that order, as the monitor does, updates every
+// object before anyone reads it, with no lock and no counter. Removing a
+// writer hands each of its objects to the next live reader. (A
 // writer whose evaluation fails leaves its objects partly updated for that
 // transition; the monitor reports the writer's error, which comes first in
 // registration order. Registration validates constraints, so such errors
@@ -81,8 +79,7 @@ class SubplanDag {
     std::string text;                     // printed constraint
   };
 
-  /// Makes the earliest slot referencing each object its writer, and marks
-  /// the engines whose objects other engines read.
+  /// Makes the earliest slot referencing each object its writer.
   void AssignWriters();
 
   std::vector<Member> members_;  // registration order

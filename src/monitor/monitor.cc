@@ -73,24 +73,8 @@ struct ConstraintMonitor::Registered {
   std::int64_t last_check_micros = 0;
 };
 
-/// One constraint's check result for one transition, produced (possibly
-/// concurrently) by CheckConstraint and merged serially in registration
-/// order afterwards.
-struct ConstraintMonitor::CheckOutcome {
-  Status status = Status::OK();
-  bool holds = true;
-  std::int64_t micros = 0;
-  Violation violation;  // populated iff status.ok() && !holds
-};
-
 ConstraintMonitor::ConstraintMonitor(MonitorOptions options)
-    : options_(std::move(options)) {
-  // The calling thread participates in the fan-out, so a num_threads
-  // budget of N means N - 1 pool workers.
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
-  }
-}
+    : options_(std::move(options)) {}
 
 ConstraintMonitor::~ConstraintMonitor() = default;
 
@@ -269,91 +253,62 @@ Result<std::vector<Violation>> ConstraintMonitor::Commit(
   current_time_ = batch.timestamp();
   ++transition_count_;
 
-  // Fan the constraints out (each engine is owned by exactly one
-  // constraint; db_ and options_ are shared read-only), then merge the
-  // per-constraint outcomes back in registration order so violations,
-  // stats, and error precedence are identical to the serial path.
-  // Every engine observes every committed transition, even when another
-  // constraint's check errors: the parallel fan-out cannot stop sibling
-  // checks that are already running, so the serial path must not either —
-  // otherwise a 1-thread and an N-thread monitor would hold different
-  // auxiliary state after an error. The first error in registration order
-  // is surfaced by the merge below.
-  std::vector<CheckOutcome> outcomes(constraints_.size());
-  if (pool_ && constraints_.size() > 1) {
-    // Engines whose shared subplans other engines read go first, serially
-    // in registration order (a topological order of dag_); the rest only
-    // read what those wrote and fan out.
-    std::vector<std::size_t> fan_out;
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      const IncrementalEngine* inc = constraints_[i]->incremental;
-      if (inc != nullptr && inc->HasReaders()) {
-        CheckConstraint(i, &outcomes[i]);
-      } else {
-        fan_out.push_back(i);
-      }
-    }
-    pool_->ParallelFor(fan_out.size(), [this, &outcomes,
-                                        &fan_out](std::size_t k) {
-      CheckConstraint(fan_out[k], &outcomes[fan_out[k]]);
-    });
-  } else {
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      CheckConstraint(i, &outcomes[i]);
-    }
-  }
-
+  // Registration order is a topological order of dag_, so each shared
+  // subplan is updated by its writer before another engine reads it. Every
+  // engine observes every committed transition, even after an earlier one
+  // errs, so no engine's state depends on another's failure; counters and
+  // violations stop at the first error in registration order, which is
+  // returned.
+  Status error = Status::OK();
   std::vector<Violation> violations;
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    CheckOutcome& out = outcomes[i];
-    if (!out.status.ok()) return out.status;
-    Registered& c = *constraints_[i];
-    ++c.transitions;
-    c.total_check_micros += out.micros;
-    c.max_check_micros = std::max(c.max_check_micros, out.micros);
-    c.last_check_micros = out.micros;
-    if (out.holds) continue;
-    ++c.violations;
+  for (const auto& c : constraints_) {
+    std::int64_t micros = 0;
+    Violation violation;
+    Result<bool> holds = CheckConstraint(*c, &micros, &violation);
+    if (!error.ok()) continue;
+    if (!holds.ok()) {
+      error = holds.status();
+      continue;
+    }
+    ++c->transitions;
+    c->total_check_micros += micros;
+    c->max_check_micros = std::max(c->max_check_micros, micros);
+    c->last_check_micros = micros;
+    if (holds.value()) continue;
+    ++c->violations;
     ++total_violations_;
-    violations.push_back(std::move(out.violation));
+    violations.push_back(std::move(violation));
   }
+  if (!error.ok()) return error;
   // The batch is applied, logged, and checked; a failed periodic
   // checkpoint must not discard its verdicts.
   if (log != nullptr) log->CheckpointIfDue();
   return violations;
 }
 
-void ConstraintMonitor::CheckConstraint(std::size_t i,
-                                        CheckOutcome* out) const {
-  Registered& c = *constraints_[i];
+Result<bool> ConstraintMonitor::CheckConstraint(Registered& c,
+                                                std::int64_t* micros,
+                                                Violation* violation) {
   auto started = std::chrono::steady_clock::now();
   Result<bool> holds = c.engine->OnTransition(db_, current_time_);
-  out->micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - started)
-                    .count();
-  if (!holds.ok()) {
-    out->status = holds.status();
-    return;
-  }
-  out->holds = holds.value();
-  if (out->holds) return;
+  *micros = std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - started)
+                .count();
+  if (!holds.ok() || holds.value()) return holds;
 
-  Violation& v = out->violation;
-  v.constraint_name = c.name;
-  v.timestamp = current_time_;
-  Result<Relation> counterexamples = c.engine->CurrentCounterexamples(db_);
-  if (!counterexamples.ok()) {
-    out->status = counterexamples.status();
-    return;
+  violation->constraint_name = c.name;
+  violation->timestamp = current_time_;
+  RTIC_ASSIGN_OR_RETURN(Relation counterexamples,
+                        c.engine->CurrentCounterexamples(db_));
+  for (const Column& col : counterexamples.columns()) {
+    violation->witness_columns.push_back(col.name);
   }
-  for (const Column& col : counterexamples.value().columns()) {
-    v.witness_columns.push_back(col.name);
-  }
-  std::vector<Tuple> rows = counterexamples.value().SortedRows();
+  std::vector<Tuple> rows = counterexamples.SortedRows();
   if (rows.size() > options_.max_witnesses) {
     rows.resize(options_.max_witnesses);
   }
-  v.witnesses = std::move(rows);
+  violation->witnesses = std::move(rows);
+  return false;
 }
 
 Result<std::vector<Violation>> ConstraintMonitor::Tick(Timestamp t) {

@@ -10,8 +10,9 @@
 //   auto violations = monitor.ApplyUpdate(batch);     // [] or reports
 //
 // Each ApplyUpdate commits one history state (timestamps strictly
-// increasing) and checks every registered constraint at that state,
-// returning violation reports with counterexample witnesses. With
+// increasing) and checks every registered constraint at that state, on
+// the calling thread and in registration order, returning violation
+// reports with counterexample witnesses. With
 // MonitorOptions::wal_dir set, the monitor owns one DurableLog
 // (monitor/durable_log.h) that logs, checkpoints and ships its state.
 
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "engines/checker_engine.h"
 #include "engines/incremental/pruning.h"
 #include "engines/incremental/subplan_dag.h"
@@ -63,15 +63,9 @@ struct MonitorOptions {
   /// Maximum counterexample rows reported per violation.
   std::size_t max_witnesses = 10;
 
-  /// Threads used to check constraints per transition. 1 (the default)
-  /// keeps the serial path: constraints are checked one after another on
-  /// the calling thread. Values > 1 fan the registered constraints out
-  /// across a fixed-size pool, after first checking, serially, the
-  /// constraints whose shared subplans others read (inc::SubplanDag); each
-  /// checker engine is still driven by exactly one thread per transition,
-  /// the database snapshot is shared read-only, and violation reports are
-  /// merged back in registration order, so results are identical to the
-  /// serial path.
+  /// Ignored: every monitor checks its constraints on the calling thread.
+  /// Kept only so that existing callers still compile; it is to be
+  /// deleted.
   std::size_t num_threads = 1;
 
   /// Durability. Empty (the default) keeps the purely in-memory monitor —
@@ -272,7 +266,6 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
 
  private:
   struct Registered;
-  struct CheckOutcome;
 
   /// Rows added to / removed from one table since the checkpoint baseline.
   /// Ordered sets so delta payloads are byte-deterministic.
@@ -313,10 +306,11 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
     return SaveStateDelta();
   }
 
-  /// Runs constraint `i`'s check against the just-committed state, filling
-  /// `out`. Safe to call concurrently for distinct `i`: it touches only
-  /// constraint i's engine plus const monitor state (db_, options_).
-  void CheckConstraint(std::size_t i, CheckOutcome* out) const;
+  /// Checks `c` against the just-committed state: whether it holds, and
+  /// its violation report (witnesses included) when it does not.
+  /// `micros` receives the wall time of the engine's transition.
+  Result<bool> CheckConstraint(Registered& c, std::int64_t* micros,
+                               Violation* violation);
 
   MonitorOptions options_;
   Database db_;
@@ -326,7 +320,6 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
   std::vector<std::unique_ptr<Registered>> constraints_;
   // Links the incremental engines, so each shared subplan is kept once.
   inc::SubplanDag dag_;
-  std::unique_ptr<ThreadPool> pool_;  // non-null iff num_threads > 1
 
   // Delta-checkpoint tracking (armed by BeginDeltaTracking()).
   bool delta_tracking_ = false;

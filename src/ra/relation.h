@@ -130,11 +130,12 @@ class Relation {
   }
 
   /// Lazily built, cached hash index on the given key column positions.
-  /// Safe to call from multiple readers concurrently (the cache is guarded);
-  /// must not race with inserts into the same row storage — the engine
-  /// contract already forbids mutating a relation another thread reads. The
-  /// returned reference stays valid while any Relation sharing this row
-  /// storage is alive; Tuple pointers in buckets point into the row set.
+  /// Safe to call from multiple readers concurrently (the cache is guarded:
+  /// monitors on different threads, such as the server's tenants, share the
+  /// row storage of True()); must not race with inserts into the same row
+  /// storage. The returned reference stays valid while any Relation sharing
+  /// this row storage is alive; Tuple pointers in buckets point into the
+  /// row set.
   const Index& GetIndex(const std::vector<std::size_t>& key) const;
 
   /// Rows in sorted order (deterministic output for tests and reports).

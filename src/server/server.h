@@ -72,7 +72,7 @@ struct ServerOptions {
 };
 
 /// Upper bound on a tenant's shard count (a hello requesting more is
-/// refused — shards and worker fan-out are per tenant).
+/// refused — shards are per tenant).
 inline constexpr std::size_t kMaxTenantShards = 64;
 
 class RticServer {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "common/compress.h"
@@ -20,12 +19,51 @@ constexpr char kShardedMagic[] = "RTICSHD1";
 constexpr char kKindBase[] = "base";
 constexpr char kKindDelta[] = "delta";
 
-/// Shards and the coordinator are in-memory and check their constraints
-/// serially: the sharded monitor owns the tenant's log and the fan-out.
+/// Shards and the coordinator are in-memory: the sharded monitor owns the
+/// tenant's log.
 MonitorOptions InnerOptions(MonitorOptions options) {
-  options.num_threads = 1;
   options.wal_dir.clear();
   return options;
+}
+
+/// Merges one partition-local constraint's per-shard violations (the
+/// entries named `name` in each shard's report, if any) into the unsharded
+/// report. Witness lists are per-shard sorted prefixes of disjoint row
+/// sets, so: concatenate, sort, dedupe, truncate to `max_witnesses`.
+/// Byte-identical to the single monitor because any row in the global
+/// sorted top-K has fewer than K predecessors globally, a fortiori within
+/// its own shard — per-shard truncation to K never drops a globally
+/// surviving row. Returns false when no shard violated.
+bool MergeShardViolations(const std::string& name,
+                          const std::vector<std::vector<Violation>>& per_shard,
+                          std::size_t max_witnesses, Violation* merged) {
+  bool found = false;
+  for (const std::vector<Violation>& report : per_shard) {
+    for (const Violation& v : report) {
+      if (v.constraint_name != name) continue;
+      if (!found) {
+        found = true;
+        merged->constraint_name = v.constraint_name;
+        merged->timestamp = v.timestamp;
+        merged->witness_columns = v.witness_columns;
+        merged->witnesses.clear();
+      }
+      merged->witnesses.insert(merged->witnesses.end(), v.witnesses.begin(),
+                               v.witnesses.end());
+    }
+  }
+  if (!found) return false;
+  // Shards hold disjoint key ranges, so rows collide only for constraints
+  // that evaluate identically everywhere (no-atom formulas); sort+unique
+  // restores the single-monitor list in both cases.
+  std::sort(merged->witnesses.begin(), merged->witnesses.end());
+  merged->witnesses.erase(
+      std::unique(merged->witnesses.begin(), merged->witnesses.end()),
+      merged->witnesses.end());
+  if (merged->witnesses.size() > max_witnesses) {
+    merged->witnesses.resize(max_witnesses);
+  }
+  return true;
 }
 
 }  // namespace
@@ -36,9 +74,6 @@ ShardedMonitor::ShardedMonitor(MonitorOptions options, std::size_t shard_count)
   for (std::size_t k = 0; k < shard_count; ++k) {
     shards_.push_back(
         std::make_unique<ConstraintMonitor>(InnerOptions(options_)));
-  }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
   }
 }
 
@@ -207,37 +242,27 @@ Result<std::vector<Violation>> ShardedMonitor::Commit(const UpdateBatch& batch,
   // applies it: a crash from here on leaves it on every shard or none.
   if (log != nullptr) RTIC_RETURN_IF_ERROR(log->Append(batch));
 
-  const std::size_t tasks =
-      shards_.size() + (coordinator_ != nullptr ? 1 : 0);
-  std::vector<std::optional<Result<std::vector<Violation>>>> results(tasks);
-  auto run = [&](std::size_t i) {
-    if (i < shards_.size()) {
-      results[i] = shards_[i]->ApplyUpdate(routed[i]);
-    } else {
-      results[i] = coordinator_->ApplyUpdate(batch);
-    }
+  // Every inner monitor applies the batch, even after an earlier one errs,
+  // so no shard's state depends on another's failure; the first error, in
+  // shard order and then the coordinator, is returned.
+  Status error = Status::OK();
+  auto apply = [&error](ConstraintMonitor* m, const UpdateBatch& b) {
+    Result<std::vector<Violation>> report = m->ApplyUpdate(b);
+    if (report.ok()) return std::move(report).value();
+    if (error.ok()) error = report.status();
+    return std::vector<Violation>();
   };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(tasks, run);
-  } else {
-    for (std::size_t i = 0; i < tasks; ++i) run(i);
-  }
-  for (const auto& r : results) {
-    if (!r->ok()) return r->status();
-  }
-
-  current_time_ = batch.timestamp();
-  ++transition_count_;
-
   std::vector<std::vector<Violation>> shard_reports;
   shard_reports.reserve(shards_.size());
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    shard_reports.push_back(std::move(*results[k]).value());
+    shard_reports.push_back(apply(shards_[k].get(), routed[k]));
   }
   std::vector<Violation> coord_report;
-  if (coordinator_ != nullptr) {
-    coord_report = std::move(*results.back()).value();
-  }
+  if (coordinator_ != nullptr) coord_report = apply(coordinator_.get(), batch);
+  if (!error.ok()) return error;
+
+  current_time_ = batch.timestamp();
+  ++transition_count_;
 
   std::vector<Violation> out;
   for (Entry& e : entries_) {
@@ -303,10 +328,10 @@ std::vector<ConstraintStats> ShardedMonitor::Stats() const {
         s.total_check_micros += it->second.total_check_micros;
         s.max_check_micros =
             std::max(s.max_check_micros, it->second.max_check_micros);
-        // Shard checks run concurrently, so the transition's wall time is
-        // the slowest shard's — summing would mix per-shard wall times into
-        // a number no single check ever took (and disagree with
-        // max_check_micros, which already takes the max).
+        // Each shard's check is a separate check over its own share of the
+        // keys. Like max_check_micros, the last check reported is the
+        // slowest shard's, so it never exceeds the worst; a sum would be a
+        // time no single check took.
         s.last_check_micros =
             std::max(s.last_check_micros, it->second.last_check_micros);
         s.storage_rows += it->second.storage_rows;

@@ -8,26 +8,33 @@
 // lockstep). Constraints are classified at registration (see
 // classifier.h): partition-local ones are registered on every shard and
 // checked against co-partitioned state only; everything else goes to the
-// lazily activated cross-shard coordinator, a full-stream inner monitor.
-// Per-shard verdicts are merged deterministically in registration order,
-// byte-identical to an unsharded ConstraintMonitor over the same history
-// (tests/sharded_monitor_test.cc proves this differentially).
+// cross-shard coordinator. Per-shard verdicts are merged deterministically
+// in registration order, byte-identical to an unsharded ConstraintMonitor
+// over the same history (tests/sharded_monitor_test.cc proves this
+// differentially). ApplyUpdate applies the shards, then the coordinator,
+// one after another on the calling thread.
+//
+// The coordinator is one more in-memory ConstraintMonitor that sees every
+// transition unrouted (the whole batch, every tick), so a cross-shard
+// constraint checks against exactly the state an unsharded monitor would
+// hold. It is activated lazily: a sharded monitor whose constraints all
+// classify partition-local never constructs it and pays nothing for it (no
+// shadow database, no share of the checkpoint). Activated after updates
+// have been applied (in-memory mode only), it is seeded with the union of
+// the shard databases as one batch at the current timestamp, after which
+// the newly registered constraint sees precisely what an unsharded monitor
+// shows a late-registered constraint: the current state, an empty temporal
+// past.
 //
 // Durability: with MonitorOptions::wal_dir set, the sharded monitor owns
 // one DurableLog (monitor/durable_log.h), like an unsharded monitor: each
 // batch is logged unrouted, once, before the in-memory shards and
 // coordinator apply it, and each checkpoint is one RTICSHD1 payload
 // (docs/FORMATS.md §5.5). Restrictions in durable mode: cross-shard
-// constraints must be registered before Recover() (a coordinator brought
-// up later is seeded with a transition the log does not hold), and
-// replication_standby is rejected (a standby cannot yet promote a sharded
-// mirror).
-//
-// Threading: MonitorOptions::num_threads > 1 fans ApplyUpdate across the
-// shards (and the coordinator) on a pool; each inner monitor runs its
-// own constraints serially (num_threads is forced to 1 inside). Results
-// are merged in registration order, so the parallel path is
-// byte-identical to the serial one.
+// constraints must be registered before Recover() (the log does not hold
+// the seed batch of a coordinator brought up later, so no recovery could
+// reproduce it), and replication_standby is rejected (a standby cannot yet
+// promote a sharded mirror).
 
 #ifndef RTIC_SHARD_SHARDED_MONITOR_H_
 #define RTIC_SHARD_SHARDED_MONITOR_H_
@@ -38,11 +45,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "monitor/monitor.h"
 #include "monitor/monitor_iface.h"
 #include "shard/classifier.h"
-#include "shard/coordinator.h"
 #include "shard/partitioner.h"
 #include "wal/recovery.h"
 
@@ -57,7 +62,6 @@ class ShardedMonitor : public MonitorLike, private wal::ReplayTarget {
   /// Validates the configuration (1 <= shard_count <= 1024, no
   /// replication) and builds the shard fleet. `options` apply to every
   /// shard except: wal_dir is cleared (the sharded monitor owns the log),
-  /// num_threads is forced to 1 inside each shard (see header comment),
   /// and replication_standby must be empty.
   static Result<std::unique_ptr<ShardedMonitor>> Create(
       std::size_t shard_count, MonitorOptions options = {});
@@ -194,8 +198,7 @@ class ShardedMonitor : public MonitorLike, private wal::ReplayTarget {
   tl::PredicateCatalog catalog_;  // every table's schema
   std::vector<std::unique_ptr<ConstraintMonitor>> shards_;
   std::unique_ptr<ConstraintMonitor> coordinator_;  // null until needed
-  std::unique_ptr<ThreadPool> pool_;  // non-null iff num_threads > 1
-  std::vector<Entry> entries_;        // registration order
+  std::vector<Entry> entries_;                      // registration order
   Timestamp current_time_ = 0;
   std::size_t transition_count_ = 0;
   std::size_t total_violations_ = 0;

@@ -18,11 +18,6 @@ namespace rtic {
 
 /// One database state: named tables plus schema catalog. Copy = deep
 /// snapshot.
-///
-/// Thread safety: const methods perform no caching or other hidden
-/// mutation, so any number of threads may read one Database concurrently
-/// (the monitor's parallel constraint fan-out relies on this). Mutation
-/// (CreateTable, GetMutableTable, DropTable) requires exclusive access.
 class Database {
  public:
   Database() : layout_id_(NextLayoutId()) {}

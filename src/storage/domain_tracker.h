@@ -26,12 +26,6 @@
 namespace rtic {
 
 /// Monotonically growing per-type value sets.
-///
-/// Thread safety: const methods (Values, AllValues, Contains, size) are
-/// safe to call concurrently; Absorb/AbsorbValues require exclusive
-/// access. Each checker engine owns its own tracker, so under the
-/// monitor's parallel fan-out a tracker is only ever touched by the one
-/// thread driving its engine.
 class DomainTracker {
  public:
   /// Adds every value occurring in `db`. Tables whose (id, version) pair is

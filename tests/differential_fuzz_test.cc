@@ -1,12 +1,11 @@
 // Differential fuzzing: seeded random constraints (tests/formula_gen.h)
 // and random delta histories are run simultaneously through
 //   * the three standalone engines (naive, incremental, active), and
-//   * full monitors in serial (num_threads=1) and parallel (num_threads=8)
-//     mode,
+//   * a full monitor,
 // asserting identical verdicts and identical CurrentCounterexamples row
-// sets everywhere. A second suite drives the three engine kinds plus the
-// parallel monitor over src/workload/generators streams. Every assertion
-// message carries the seed so a failure is reproducible from the log.
+// sets everywhere. A second suite drives monitors of the three engine kinds
+// over src/workload/generators streams. Every assertion message carries the
+// seed so a failure is reproducible from the log.
 
 #include <gtest/gtest.h>
 
@@ -49,9 +48,8 @@ UpdateBatch RandomDelta(Rng* rng, Timestamp t) {
 
 /// A monitor over the P/Q/R schema with one registered constraint.
 std::unique_ptr<ConstraintMonitor> MakePQRMonitor(
-    const tl::Formula& constraint, std::size_t num_threads) {
+    const tl::Formula& constraint) {
   MonitorOptions options;
-  options.num_threads = num_threads;
   options.max_witnesses = 1000000;  // report full counterexample sets
   auto monitor = std::make_unique<ConstraintMonitor>(options);
   EXPECT_TRUE(monitor->CreateTable("P", IntSchema({"a"})).ok());
@@ -83,11 +81,10 @@ TEST_P(DifferentialFuzzTest, EnginesAndParallelMonitorAgree) {
     auto incremental =
         Unwrap(IncrementalEngine::Create(*constraint, catalog));
     auto active = Unwrap(ActiveEngine::Create(*constraint, catalog));
-    auto serial_monitor = MakePQRMonitor(*constraint, 1);
-    auto parallel_monitor = MakePQRMonitor(*constraint, 8);
+    auto monitor = MakePQRMonitor(*constraint);
 
-    // The standalone engines see the same evolving state the monitors
-    // maintain internally, reconstructed by applying each delta batch to
+    // The standalone engines see the same evolving state the monitor
+    // maintains internally, reconstructed by applying each delta batch to
     // a mirror database.
     Database mirror;
     for (const auto& [name, schema] : schemas) {
@@ -103,17 +100,13 @@ TEST_P(DifferentialFuzzTest, EnginesAndParallelMonitorAgree) {
       bool v_naive = Unwrap(naive->OnTransition(mirror, t));
       bool v_inc = Unwrap(incremental->OnTransition(mirror, t));
       bool v_act = Unwrap(active->OnTransition(mirror, t));
-      auto serial_violations = Unwrap(serial_monitor->ApplyUpdate(batch));
-      auto parallel_violations =
-          Unwrap(parallel_monitor->ApplyUpdate(batch));
+      auto violations = Unwrap(monitor->ApplyUpdate(batch));
 
       ASSERT_EQ(v_naive, v_inc) << trace << " naive vs incremental at t="
                                 << t;
       ASSERT_EQ(v_naive, v_act) << trace << " naive vs active at t=" << t;
-      ASSERT_EQ(v_naive, serial_violations.empty() ? true : false)
-          << trace << " naive vs serial monitor at t=" << t;
-      ASSERT_EQ(serial_violations.size(), parallel_violations.size())
-          << trace << " serial vs parallel monitor at t=" << t;
+      ASSERT_EQ(v_naive, violations.empty())
+          << trace << " naive vs monitor at t=" << t;
 
       if (v_naive) continue;
 
@@ -127,21 +120,12 @@ TEST_P(DifferentialFuzzTest, EnginesAndParallelMonitorAgree) {
       ASSERT_EQ(c_naive, c_act)
           << trace << " counterexamples naive vs active at t=" << t;
 
-      const std::vector<Tuple> expected_rows = c_naive.SortedRows();
-      ASSERT_EQ(serial_violations.size(), 1u) << trace;
-      ASSERT_EQ(parallel_violations.size(), 1u) << trace;
-      for (const auto* violations :
-           {&serial_violations, &parallel_violations}) {
-        const Violation& v = (*violations)[0];
-        EXPECT_EQ(v.timestamp, t) << trace;
-        ASSERT_EQ(v.witnesses, expected_rows)
-            << trace << " monitor witness rows diverge at t=" << t;
-        ASSERT_EQ(v.witness_columns.size(), c_naive.columns().size())
-            << trace;
-      }
-      ASSERT_EQ(serial_violations[0].ToString(),
-                parallel_violations[0].ToString())
-          << trace << " serial vs parallel report at t=" << t;
+      ASSERT_EQ(violations.size(), 1u) << trace;
+      const Violation& v = violations[0];
+      EXPECT_EQ(v.timestamp, t) << trace;
+      ASSERT_EQ(v.witnesses, c_naive.SortedRows())
+          << trace << " monitor witness rows diverge at t=" << t;
+      ASSERT_EQ(v.witness_columns.size(), c_naive.columns().size()) << trace;
     }
   }
 }
@@ -157,28 +141,17 @@ std::vector<std::string> Render(const std::vector<Violation>& violations) {
   return out;
 }
 
-/// All engine kinds plus the parallel monitor over a generated workload
-/// stream: identical violation report sequences everywhere.
+/// Monitors of every engine kind over a generated workload stream:
+/// identical violation report sequences everywhere.
 void RunWorkloadDifferential(const workload::Workload& w,
                              const std::string& label) {
-  struct Variant {
-    std::string name;
-    EngineKind engine;
-    std::size_t num_threads;
-  };
-  const std::vector<Variant> variants = {
-      {"incremental/serial", EngineKind::kIncremental, 1},
-      {"incremental/parallel", EngineKind::kIncremental, 8},
-      {"naive/serial", EngineKind::kNaive, 1},
-      {"naive/parallel", EngineKind::kNaive, 8},
-      {"active/parallel", EngineKind::kActive, 8},
-  };
+  const std::vector<EngineKind> engines = {
+      EngineKind::kIncremental, EngineKind::kNaive, EngineKind::kActive};
 
   std::vector<std::unique_ptr<ConstraintMonitor>> monitors;
-  for (const Variant& variant : variants) {
+  for (EngineKind engine : engines) {
     MonitorOptions options;
-    options.engine = variant.engine;
-    options.num_threads = variant.num_threads;
+    options.engine = engine;
     auto monitor = std::make_unique<ConstraintMonitor>(options);
     for (const auto& [name, schema] : w.schema) {
       ASSERT_TRUE(monitor->CreateTable(name, schema).ok());
@@ -199,7 +172,8 @@ void RunWorkloadDifferential(const workload::Workload& w,
         reference = Render(violations);
       } else {
         ASSERT_EQ(reference, Render(violations))
-            << variants[m].name << " diverges from " << variants[0].name;
+            << EngineKindToString(engines[m]) << " diverges from "
+            << EngineKindToString(engines[0]);
       }
     }
   }
@@ -231,9 +205,8 @@ using Registrations = std::vector<std::pair<std::string, std::string>>;
 /// A P/Q/R monitor with several named constraints, all registered before
 /// the first update, so identical subplans are shared.
 std::unique_ptr<ConstraintMonitor> MakeSharingMonitor(
-    const Registrations& constraints, std::size_t num_threads) {
+    const Registrations& constraints) {
   MonitorOptions options;
-  options.num_threads = num_threads;
   options.max_witnesses = 1000000;
   auto monitor = std::make_unique<ConstraintMonitor>(options);
   EXPECT_TRUE(monitor->CreateTable("P", IntSchema({"a"})).ok());
@@ -252,7 +225,7 @@ class SoloMonitors {
  public:
   explicit SoloMonitors(const Registrations& constraints) {
     for (const auto& c : constraints) {
-      monitors_.emplace_back(c.first, MakeSharingMonitor({c}, 1));
+      monitors_.emplace_back(c.first, MakeSharingMonitor({c}));
     }
   }
 
@@ -292,8 +265,8 @@ class SharedSubplanFuzzTest
 // Duplicate constraints: the same formula registered under three names.
 // The duplicates coalesce down to one evaluation per transition; reports
 // and per-constraint checkpoint entries must stay byte-identical to
-// single-constraint monitors, in both serial and parallel fan-out, and
-// through a restore, which keeps every handle coalesced.
+// single-constraint monitors, also through a restore, which keeps every
+// handle coalesced.
 TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
@@ -305,12 +278,11 @@ TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
   const Registrations registered = {{"c1", text}, {"c2", text}, {"c3", text}};
 
   SoloMonitors solo(registered);
-  auto shared_serial = MakeSharingMonitor(registered, 1);
-  auto shared_parallel = MakeSharingMonitor(registered, 8);
+  auto shared = MakeSharingMonitor(registered);
 
   // Exact duplicates coalesce at least the verdict for every engine after
   // the first (temporal nodes add more).
-  const std::vector<ConstraintStats> stats = shared_serial->Stats();
+  const std::vector<ConstraintStats> stats = shared->Stats();
   ASSERT_EQ(stats.size(), 3u);
   EXPECT_EQ(stats[0].shared_subplans, 0u) << trace;
   EXPECT_GE(stats[1].shared_subplans, 1u) << trace;
@@ -321,36 +293,29 @@ TEST_P(SharedSubplanFuzzTest, DuplicateConstraintsByteIdentical) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
     const std::vector<std::string> want = solo.Apply(batch);
-    ASSERT_EQ(want, Render(Unwrap(shared_serial->ApplyUpdate(batch))))
-        << trace << " shared/serial diverges at t=" << t;
-    ASSERT_EQ(want, Render(Unwrap(shared_parallel->ApplyUpdate(batch))))
-        << trace << " shared/parallel diverges at t=" << t;
+    ASSERT_EQ(want, Render(Unwrap(shared->ApplyUpdate(batch))))
+        << trace << " shared diverges at t=" << t;
   }
 
   // Checkpoints serialize shared objects as if owned.
-  const std::string blob = Unwrap(shared_serial->SaveState());
+  const std::string blob = Unwrap(shared->SaveState());
   ASSERT_EQ(CheckpointedConstraints(blob), solo.Checkpointed()) << trace;
-  ASSERT_EQ(Unwrap(shared_parallel->SaveState()), blob) << trace;
 
   // A restore keeps every handle coalesced, and verdicts keep matching.
-  for (ConstraintMonitor* m : {shared_serial.get(), shared_parallel.get()}) {
-    RTIC_ASSERT_OK(m->LoadState(blob));
-    const std::vector<ConstraintStats> restored = m->Stats();
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      EXPECT_EQ(restored[i].shared_subplans, stats[i].shared_subplans)
-          << trace << " restore must keep " << stats[i].name << " coalesced";
-    }
+  RTIC_ASSERT_OK(shared->LoadState(blob));
+  const std::vector<ConstraintStats> restored = shared->Stats();
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(restored[i].shared_subplans, stats[i].shared_subplans)
+        << trace << " restore must keep " << stats[i].name << " coalesced";
   }
   for (int step = 0; step < 6; ++step) {
     t += rng.UniformInt(1, 3);
     UpdateBatch batch = RandomDelta(&rng, t);
     const std::vector<std::string> want = solo.Apply(batch);
-    ASSERT_EQ(want, Render(Unwrap(shared_serial->ApplyUpdate(batch))))
-        << trace << " post-restore serial diverges at t=" << t;
-    ASSERT_EQ(want, Render(Unwrap(shared_parallel->ApplyUpdate(batch))))
-        << trace << " post-restore parallel diverges at t=" << t;
+    ASSERT_EQ(want, Render(Unwrap(shared->ApplyUpdate(batch))))
+        << trace << " post-restore diverges at t=" << t;
   }
-  ASSERT_EQ(CheckpointedConstraints(Unwrap(shared_parallel->SaveState())),
+  ASSERT_EQ(CheckpointedConstraints(Unwrap(shared->SaveState())),
             solo.Checkpointed())
       << trace;
 }
@@ -372,7 +337,7 @@ TEST_P(SharedSubplanFuzzTest, OverlappingSubformulasAgree) {
        "forall a, b: R(a, b) implies once[0, 5] Q(a) or previous P(a)"}};
 
   SoloMonitors solo(registered);
-  auto shared = MakeSharingMonitor(registered, 8);
+  auto shared = MakeSharingMonitor(registered);
 
   const std::vector<ConstraintStats> stats = shared->Stats();
   ASSERT_EQ(stats.size(), 2u);
@@ -418,8 +383,8 @@ TEST_P(SharedSubplanFuzzTest, UnregisteredWriterHandsOverItsObjects) {
   Registrations registered = {{"writer", text}};
   registered.insert(registered.end(), survivors.begin(), survivors.end());
 
-  auto shared = MakeSharingMonitor(registered, 8);
-  auto never = MakeSharingMonitor(survivors, 1);
+  auto shared = MakeSharingMonitor(registered);
+  auto never = MakeSharingMonitor(survivors);
   ASSERT_EQ(shared->Stats()[1].shared_subplans, 3u);
   ASSERT_EQ(shared->Stats()[2].shared_subplans, 1u);
 
@@ -459,39 +424,44 @@ class FailingEngine final : public CheckerEngine {
   }
   std::size_t StorageRows() const override { return 0; }
   const char* name() const override { return "failing"; }
+  Result<std::string> SaveState() const override { return std::string(); }
 
  private:
   const int fail_at_;
   int calls_ = 0;
 };
 
-std::unique_ptr<ConstraintMonitor> MakeMonitorWithFailingEngine(
-    std::size_t num_threads) {
-  MonitorOptions options;
-  options.num_threads = num_threads;
-  auto monitor = std::make_unique<ConstraintMonitor>(options);
+/// A P/Q monitor with a plain and a temporal constraint and, when
+/// `with_failing`, a failing engine registered between them.
+std::unique_ptr<ConstraintMonitor> MakeMonitorAroundFailingEngine(
+    bool with_failing) {
+  auto monitor = std::make_unique<ConstraintMonitor>();
   EXPECT_TRUE(monitor->CreateTable("P", IntSchema({"a"})).ok());
   EXPECT_TRUE(monitor->CreateTable("Q", IntSchema({"a"})).ok());
   // Registration order matters: the failing engine sits BETWEEN two healthy
-  // constraints, so a serial path that stopped checking at the error would
+  // constraints, so a monitor that stopped checking at the error would
   // starve the temporal constraint behind it of a transition.
   RTIC_EXPECT_OK(monitor->RegisterConstraint("a_plain",
                                              "forall a: P(a) implies P(a)"));
-  RTIC_EXPECT_OK(monitor->RegisterConstraintEngine(
-      "b_failing", std::make_unique<FailingEngine>(/*fail_at=*/2)));
+  if (with_failing) {
+    RTIC_EXPECT_OK(monitor->RegisterConstraintEngine(
+        "b_failing", std::make_unique<FailingEngine>(/*fail_at=*/2)));
+  }
   RTIC_EXPECT_OK(monitor->RegisterConstraint(
       "c_temporal", "forall a: Q(a) implies previous P(a)"));
   return monitor;
 }
 
-// One constraint's check error must not desynchronize the OTHER engines
-// between the serial and parallel paths. The scenario is built so that
-// missing exactly the erroring transition flips a later verdict: P(7) is
-// deleted at t=2 (where the failing engine errors), so "previous P(a)" at
-// t=3 only reports a violation if the temporal engine saw t=2.
-TEST(ErroringEngineDifferentialTest, SerialAndParallelStayIdentical) {
-  auto serial = MakeMonitorWithFailingEngine(1);
-  auto parallel = MakeMonitorWithFailingEngine(8);
+// One constraint's check error must not cost the engines registered after
+// it a transition. The scenario is built so that missing exactly the
+// erroring transition flips a later verdict: P(7) is deleted at t=2 (where
+// the failing engine errors), so "previous P(a)" at t=3 only reports a
+// violation if the temporal engine saw t=2. Later verdicts and engine
+// states equal those of a monitor without the failing engine; only the
+// counters stop at the error.
+TEST(ErroringEngineDifferentialTest, LaterEnginesObserveEveryTransition) {
+  auto failing = MakeMonitorAroundFailingEngine(/*with_failing=*/true);
+  auto without = MakeMonitorAroundFailingEngine(/*with_failing=*/false);
 
   UpdateBatch insert_p(1);
   insert_p.Insert("P", T(I(7)));
@@ -501,36 +471,38 @@ TEST(ErroringEngineDifferentialTest, SerialAndParallelStayIdentical) {
   insert_q.Insert("Q", T(I(7)));
 
   // t=1: all healthy.
-  EXPECT_TRUE(Unwrap(serial->ApplyUpdate(insert_p)).empty());
-  EXPECT_TRUE(Unwrap(parallel->ApplyUpdate(insert_p)).empty());
+  EXPECT_TRUE(Unwrap(failing->ApplyUpdate(insert_p)).empty());
+  EXPECT_TRUE(Unwrap(without->ApplyUpdate(insert_p)).empty());
 
-  // t=2: the failing engine errors; both paths must surface it.
-  Result<std::vector<Violation>> serial_err = serial->ApplyUpdate(delete_p);
-  Result<std::vector<Violation>> parallel_err =
-      parallel->ApplyUpdate(delete_p);
-  ASSERT_FALSE(serial_err.ok());
-  ASSERT_FALSE(parallel_err.ok());
-  EXPECT_EQ(serial_err.status().ToString(), parallel_err.status().ToString());
+  // t=2: the failing engine errors, and the monitor returns its error.
+  Result<std::vector<Violation>> err = failing->ApplyUpdate(delete_p);
+  ASSERT_FALSE(err.ok());
+  EXPECT_EQ(err.status().ToString(),
+            Status::Internal("injected check error").ToString());
+  EXPECT_TRUE(Unwrap(without->ApplyUpdate(delete_p)).empty());
 
-  // t=3: the temporal constraint must have seen the t=2 deletion in BOTH
-  // monitors, so both report the violation.
-  auto serial_violations = Unwrap(serial->ApplyUpdate(insert_q));
-  auto parallel_violations = Unwrap(parallel->ApplyUpdate(insert_q));
-  ASSERT_EQ(serial_violations.size(), 1u)
+  // t=3: the temporal constraint saw the t=2 deletion.
+  const std::vector<Violation> want = Unwrap(without->ApplyUpdate(insert_q));
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(want[0].constraint_name, "c_temporal");
+  ASSERT_EQ(Render(Unwrap(failing->ApplyUpdate(insert_q))), Render(want))
       << "the temporal engine missed the erroring transition";
-  EXPECT_EQ(serial_violations[0].constraint_name, "c_temporal");
-  ASSERT_EQ(Render(serial_violations), Render(parallel_violations));
 
-  // And the bookkeeping agrees too.
-  const std::vector<ConstraintStats> s_stats = serial->Stats();
-  const std::vector<ConstraintStats> p_stats = parallel->Stats();
-  ASSERT_EQ(s_stats.size(), p_stats.size());
-  for (std::size_t i = 0; i < s_stats.size(); ++i) {
-    EXPECT_EQ(s_stats[i].transitions, p_stats[i].transitions)
-        << s_stats[i].name;
-    EXPECT_EQ(s_stats[i].violations, p_stats[i].violations)
-        << s_stats[i].name;
-  }
+  // Checkpoint entries (name, transitions, violations, engine state): the
+  // counters stop at the first error in registration order, so a_plain,
+  // checked before it, counts t=2 and c_temporal, checked after it, does
+  // not; every engine state is the one it has without the failing engine.
+  const std::vector<std::string> got =
+      CheckpointedConstraints(Unwrap(failing->SaveState()));
+  const std::vector<std::string> expected =
+      CheckpointedConstraints(Unwrap(without->SaveState()));
+  ASSERT_EQ(got.size(), 3u);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(got[0], expected[0]);
+  EXPECT_EQ(got[1], "b_failing 2 0 ");
+  const std::string counters = "c_temporal 3 1 ";
+  ASSERT_EQ(expected[1].substr(0, counters.size()), counters);
+  EXPECT_EQ(got[2], "c_temporal 2 1 " + expected[1].substr(counters.size()));
 }
 
 }  // namespace

@@ -356,5 +356,68 @@ TEST(MonitorOptionsTest, EngineKindNames) {
   EXPECT_STREQ(EngineKindToString(EngineKind::kActive), "active");
 }
 
+// MonitorOptions::num_threads > 1 is accepted and ignored: such a monitor
+// checks on the calling thread and reports exactly like the default one.
+
+TEST(ParallelMonitorTest, ViolationsMergeInRegistrationOrder) {
+  // Both constraints are violated by the same state; reports come in
+  // registration order, not name order.
+  MonitorOptions options;
+  options.num_threads = 8;
+  ConstraintMonitor monitor(options);
+  RTIC_ASSERT_OK(monitor.CreateTable("P", IntSchema({"a"})));
+  RTIC_ASSERT_OK(monitor.CreateTable("Q", IntSchema({"a"})));
+  RTIC_ASSERT_OK(
+      monitor.RegisterConstraint("p_needs_q", "forall a: P(a) implies Q(a)"));
+  RTIC_ASSERT_OK(monitor.RegisterConstraint("a_no_p", "not (exists a: P(a))"));
+  UpdateBatch batch(1);
+  batch.Insert("P", T(I(7)));
+  std::vector<Violation> v = Unwrap(monitor.ApplyUpdate(batch));
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[0].constraint_name, "p_needs_q");
+  EXPECT_EQ(v[1].constraint_name, "a_no_p");
+}
+
+TEST(ParallelMonitorTest, PureTicksAndEmptyMonitor) {
+  MonitorOptions options;
+  options.num_threads = 4;
+  ConstraintMonitor monitor(options);
+  RTIC_ASSERT_OK(monitor.CreateTable("P", IntSchema({"a"})));
+  EXPECT_TRUE(Unwrap(monitor.Tick(1)).empty());
+  RTIC_ASSERT_OK(monitor.RegisterConstraint(
+      "c", "forall a: P(a) implies once[0, 2] P(a)"));
+  EXPECT_TRUE(Unwrap(monitor.Tick(2)).empty());
+  EXPECT_EQ(monitor.transition_count(), 2u);
+}
+
+TEST(ParallelMonitorTest, LastCheckMicrosIsPopulated) {
+  MonitorOptions options;
+  options.num_threads = 2;
+  ConstraintMonitor monitor(options);
+  RTIC_ASSERT_OK(monitor.CreateTable("P", IntSchema({"a"})));
+  RTIC_ASSERT_OK(monitor.CreateTable("Q", IntSchema({"a"})));
+  RTIC_ASSERT_OK(monitor.CreateTable("R", IntSchema({"a", "b"})));
+  RTIC_ASSERT_OK(monitor.RegisterConstraint(
+      "c0", "forall a: P(a) implies once[0, 1] Q(a)"));
+  RTIC_ASSERT_OK(monitor.RegisterConstraint(
+      "c1", "forall a: P(a) implies P(a) since[0, 1] Q(a)"));
+  RTIC_ASSERT_OK(monitor.RegisterConstraint(
+      "c2", "forall a, b: R(a, b) implies a <= b"));
+  RTIC_ASSERT_OK(monitor.RegisterConstraint(
+      "c3", "not (exists a: P(a) and not Q(a))"));
+  for (std::int64_t t = 1; t <= 5; ++t) {
+    UpdateBatch b(t);
+    b.Insert("P", T(I(t)));
+    if (t % 2 == 0) b.Insert("Q", T(I(t)));
+    b.Insert("R", T(I(t), I(5 - t)));
+    (void)Unwrap(monitor.ApplyUpdate(b));
+  }
+  for (const ConstraintStats& s : monitor.Stats()) {
+    EXPECT_EQ(s.transitions, 5u) << s.name;
+    EXPECT_GE(s.last_check_micros, 0) << s.name;
+    EXPECT_GE(s.total_check_micros, s.last_check_micros) << s.name;
+  }
+}
+
 }  // namespace
 }  // namespace rtic

@@ -6,9 +6,9 @@
 //   * KeptResultTest — the reuse rule. An unsafe constraint over a table
 //     that never changes still flips exactly when the naive engine's
 //     verdict does (the domain is part of the key); a restored engine never
-//     serves a result kept before the restore; a 4-thread monitor with
-//     shared subplans reproduces the serial transcript, also when it is
-//     restored mid-stream from a base or a base+delta chain.
+//     serves a result kept before the restore; a monitor with shared
+//     subplans restored mid-stream from a base or a base+delta chain
+//     reproduces the uninterrupted transcript.
 //   * BatchAbsorbTest — the batch-delta absorb. Over random batch streams
 //     the tracker's values equal a full-scan reference after every
 //     transition, including first use on a non-empty table, a missed
@@ -347,9 +347,8 @@ std::vector<std::pair<std::string, std::string>> SharedBank() {
   return out;
 }
 
-std::unique_ptr<ConstraintMonitor> MakeSharedBankMonitor(std::size_t threads) {
+std::unique_ptr<ConstraintMonitor> MakeSharedBankMonitor() {
   MonitorOptions options;
-  options.num_threads = threads;
   options.max_witnesses = 1000;
   auto monitor = std::make_unique<ConstraintMonitor>(options);
   for (const auto& [name, schema] : ABSchemas()) {
@@ -361,50 +360,31 @@ std::unique_ptr<ConstraintMonitor> MakeSharedBankMonitor(std::size_t threads) {
   return monitor;
 }
 
-TEST(KeptResultTest, ParallelSharedSubplansMatchSerialTranscript) {
-  for (std::uint64_t seed : {41u, 42u}) {
-    auto serial = MakeSharedBankMonitor(1);
-    auto parallel = MakeSharedBankMonitor(4);
-    std::size_t coalesced = 0;
-    for (const ConstraintStats& s : parallel->Stats()) {
-      coalesced += s.shared_subplans;
-    }
-    ASSERT_GT(coalesced, 0u);
-    for (const UpdateBatch& batch : ChurnStream(seed, 150)) {
-      SCOPED_TRACE("t=" + std::to_string(batch.timestamp()));
-      ASSERT_EQ(Transcript(Unwrap(parallel->ApplyUpdate(batch))),
-                Transcript(Unwrap(serial->ApplyUpdate(batch))));
-    }
-    EXPECT_EQ(Unwrap(parallel->SaveState()), Unwrap(serial->SaveState()));
-  }
-}
-
-// Restores keep shared subplans shared: 4-thread monitors restored
-// mid-stream, one from a base checkpoint and one from a base+delta chain,
-// continue exactly like a serial monitor that never stopped, and report the
-// same coalesced handles.
-TEST(KeptResultTest, ParallelRestoreMidStreamMatchesSerialRun) {
-  std::vector<std::size_t> coalesced;
-  for (const ConstraintStats& s : MakeSharedBankMonitor(1)->Stats()) {
-    coalesced.push_back(s.shared_subplans);
-  }
+// Restores keep shared subplans shared: monitors restored mid-stream, one
+// from a base checkpoint and one from a base+delta chain, continue exactly
+// like a monitor that never stopped, and report the same coalesced handles.
+TEST(KeptResultTest, SharedSubplanRestoreMidStreamMatchesUninterruptedRun) {
   auto coalesced_of = [](const ConstraintMonitor& m) {
     std::vector<std::size_t> out;
     for (const ConstraintStats& s : m.Stats()) out.push_back(s.shared_subplans);
     return out;
   };
+  const std::vector<std::size_t> coalesced =
+      coalesced_of(*MakeSharedBankMonitor());
+  ASSERT_GT(*std::max_element(coalesced.begin(), coalesced.end()), 0u);
   for (std::uint64_t seed : {43u, 44u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const auto batches = ChurnStream(seed, 120);
-    auto serial = MakeSharedBankMonitor(1);
-    auto primary = MakeSharedBankMonitor(4);
+    auto uninterrupted = MakeSharedBankMonitor();
+    auto primary = MakeSharedBankMonitor();
     primary->BeginDeltaTracking();
-    auto from_base = MakeSharedBankMonitor(4);
-    auto from_chain = MakeSharedBankMonitor(4);
+    auto from_base = MakeSharedBankMonitor();
+    auto from_chain = MakeSharedBankMonitor();
     std::string base;
     for (std::size_t i = 0; i < batches.size(); ++i) {
       SCOPED_TRACE("step " + std::to_string(i));
-      const auto want = Transcript(Unwrap(serial->ApplyUpdate(batches[i])));
+      const auto want =
+          Transcript(Unwrap(uninterrupted->ApplyUpdate(batches[i])));
       ASSERT_EQ(Transcript(Unwrap(primary->ApplyUpdate(batches[i]))), want);
       if (i > 39) {
         ASSERT_EQ(Transcript(Unwrap(from_base->ApplyUpdate(batches[i]))),
@@ -425,10 +405,10 @@ TEST(KeptResultTest, ParallelRestoreMidStreamMatchesSerialRun) {
         RTIC_ASSERT_OK(from_chain->LoadStateDelta(delta));
         EXPECT_EQ(coalesced_of(*from_chain), coalesced);
         EXPECT_EQ(Unwrap(from_chain->SaveState()),
-                  Unwrap(serial->SaveState()));
+                  Unwrap(uninterrupted->SaveState()));
       }
     }
-    const std::string want = Unwrap(serial->SaveState());
+    const std::string want = Unwrap(uninterrupted->SaveState());
     EXPECT_EQ(Unwrap(primary->SaveState()), want);
     EXPECT_EQ(Unwrap(from_base->SaveState()), want);
     EXPECT_EQ(Unwrap(from_chain->SaveState()), want);

@@ -1,17 +1,16 @@
 // ShardedMonitor: the differential battery behind the subsystem's core
-// promise — verdicts byte-identical to an unsharded serial monitor.
+// promise — verdicts byte-identical to an unsharded monitor.
 //
 // Every comparison runs through a transcript: each transition's violations
 // rendered with Violation::ToString in arrival order. The three paper-style
 // workloads (alarm, payroll, library — nine constraints, including a
 // response constraint with delayed verdicts) are replayed through shard
 // counts N in {1, 2, 4} and diffed against the plain ConstraintMonitor,
-// in-memory, durable with a mid-stream crash/Recover() (serial and pooled
-// fan-out), with a cross-shard constraint forcing the coordinator up, and
-// with the parallel fan-out enabled. The durable tests also check that a
-// clean restart keeps the merged counters exact and that Recover() refuses,
-// changing no file, a checkpoint written with another shard count and the
-// per-shard directory layout of older releases.
+// in-memory, durable with a mid-stream crash/Recover(), and with a
+// cross-shard constraint forcing the coordinator up. The durable tests also
+// check that a clean restart keeps the merged counters exact and that
+// Recover() refuses, changing no file, a checkpoint written with another
+// shard count and the per-shard directory layout of older releases.
 
 #include "shard/sharded_monitor.h"
 
@@ -112,9 +111,6 @@ TEST(ShardedMonitorTest, DifferentialByteIdenticalInMemory) {
   }
 }
 
-// The tenant's one log is appended on the calling thread while a pool
-// fans the shards out, so the crash/recover differential runs both serial
-// and pooled.
 TEST(ShardedMonitorTest, DifferentialDurableCrashRecover) {
   workload::LibraryParams params;
   params.length = 80;
@@ -126,37 +122,32 @@ TEST(ShardedMonitorTest, DifferentialDurableCrashRecover) {
   SetupWorkload(reference.get(), w);
   const std::string expected = Transcript(reference.get(), w);
 
-  for (std::size_t threads : {1u, 3u}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    const std::string dir = MakeTempDir() + "/wal";
-    MonitorOptions options;
-    options.wal_dir = dir;
-    options.checkpoint_interval = 8;
-    options.num_threads = threads;
+  MonitorOptions options;
+  options.wal_dir = MakeTempDir() + "/wal";
+  options.checkpoint_interval = 8;
 
-    std::string transcript;
-    {
-      auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
-      SetupWorkload(sharded.get(), w);
-      RTIC_ASSERT_OK(sharded->Recover().status());
-      for (std::size_t i = 0; i < half; ++i) {
-        ApplyInto(sharded.get(), w.batches[i], &transcript);
-      }
-      // Destroyed here without any shutdown protocol: the crash.
+  std::string transcript;
+  {
+    auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
+    SetupWorkload(sharded.get(), w);
+    RTIC_ASSERT_OK(sharded->Recover().status());
+    for (std::size_t i = 0; i < half; ++i) {
+      ApplyInto(sharded.get(), w.batches[i], &transcript);
     }
-    {
-      auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
-      SetupWorkload(sharded.get(), w);
-      wal::RecoveryStats stats = Unwrap(sharded->Recover());
-      EXPECT_FALSE(stats.tail_damaged);
-      EXPECT_EQ(sharded->transition_count(), half);
-      for (std::size_t i = half; i < w.batches.size(); ++i) {
-        ApplyInto(sharded.get(), w.batches[i], &transcript);
-      }
-      EXPECT_EQ(sharded->total_violations(), reference->total_violations());
-    }
-    EXPECT_EQ(transcript, expected);
+    // Destroyed here without any shutdown protocol: the crash.
   }
+  {
+    auto sharded = Unwrap(ShardedMonitor::Create(kShards, options));
+    SetupWorkload(sharded.get(), w);
+    wal::RecoveryStats stats = Unwrap(sharded->Recover());
+    EXPECT_FALSE(stats.tail_damaged);
+    EXPECT_EQ(sharded->transition_count(), half);
+    for (std::size_t i = half; i < w.batches.size(); ++i) {
+      ApplyInto(sharded.get(), w.batches[i], &transcript);
+    }
+    EXPECT_EQ(sharded->total_violations(), reference->total_violations());
+  }
+  EXPECT_EQ(transcript, expected);
 }
 
 // The merged per-constraint counters are part of the tenant's checkpoint,
@@ -395,22 +386,6 @@ TEST(ShardedMonitorTest, DurableCrossShardRoundTrip) {
   EXPECT_EQ(transcript, expected);
 }
 
-// ---- parallel fan-out ----------------------------------------------------
-
-TEST(ShardedMonitorTest, ParallelFanOutMatchesSerial) {
-  for (const auto& w : PaperWorkloads()) {
-    auto serial = Unwrap(ShardedMonitor::Create(4));
-    SetupWorkload(serial.get(), w);
-    const std::string expected = Transcript(serial.get(), w);
-
-    MonitorOptions options;
-    options.num_threads = 3;
-    auto parallel = Unwrap(ShardedMonitor::Create(4, options));
-    SetupWorkload(parallel.get(), w);
-    EXPECT_EQ(Transcript(parallel.get(), w), expected);
-  }
-}
-
 // ---- guards and stats ----------------------------------------------------
 
 TEST(ShardedMonitorTest, CreateValidatesConfiguration) {
@@ -502,11 +477,12 @@ TEST(ShardedMonitorTest, StatsAggregateAcrossShards) {
   EXPECT_EQ(sharded->TotalStorageRows(), reference->TotalStorageRows());
 }
 
-// Regression test: last_check_micros is a wall time, and shard checks run
-// concurrently, so the aggregate must be the max across shards — never the
-// sum. The old summing aggregation could report a "last check" larger than
-// the worst check ever measured (max_check_micros), an impossible reading;
-// the invariant below can never trip with the max aggregation.
+// Regression test: each shard's check is a separate check over its own
+// share of the keys, so the aggregate last_check_micros must be the max
+// across shards — never the sum. The old summing aggregation could report
+// a "last check" larger than the worst check ever measured
+// (max_check_micros), an impossible reading; the invariant below can never
+// trip with the max aggregation.
 TEST(ShardedMonitorTest, LastCheckMicrosNeverExceedsMax) {
   workload::PayrollParams params;
   params.length = 60;
