@@ -22,7 +22,11 @@
 # BENCH_*.json files from scripts/bench.sh (skipped until two runs exist).
 # The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
 # suites (tests/reuse_test.cc: kept-result keys hold table pointers, and
-# tables hold batch records).
+# tables hold batch records). The domain-tracker tests ride on the labels
+# they carry: domain_analysis_test (unit) and the fresh-id commit case of
+# memory_bound_test (unit) run under ASan, domain_fuzz_test (fuzz) under
+# ASan, and the parent-written checkpoint chain of checkpoint_delta_test
+# (checkpoint) under ASan+UBSan.
 #
 #   scripts/check.sh           # full run (tier-1 + asan + asan+ubsan + tsan)
 #   scripts/check.sh --fast    # tier-1 only (perf gate still runs)

@@ -57,7 +57,9 @@ ActiveEngine::ActiveEngine(tl::FormulaPtr constraint, tl::Analysis analysis,
     : constraint_(std::move(constraint)),
       analysis_(std::move(analysis)),
       network_(std::move(network)),
-      options_(std::move(options)) {}
+      options_(std::move(options)) {
+  domain_.set_maintained(analysis_.reads_domain());
+}
 
 Status ActiveEngine::BuildStore() {
   Database* store = rule_engine_.mutable_store();

@@ -77,7 +77,9 @@ class ActiveEngine : public CheckerEngine {
   inc::CompiledNetwork network_;
   ActiveOptions options_;
   active::RuleEngine rule_engine_;
-  DomainTracker domain_;  // history's active domain (quantification range)
+  // History's active domain (quantification range); maintained only if the
+  // normalized constraint can read it (tl::Analysis::reads_domain()).
+  DomainTracker domain_;
   bool last_verdict_ = true;
 };
 

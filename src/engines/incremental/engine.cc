@@ -38,6 +38,9 @@ IncrementalEngine::IncrementalEngine(tl::FormulaPtr constraint,
       analysis_(std::move(analysis)),
       network_(std::move(network)),
       options_(std::move(options)) {
+  // A standalone engine keeps its tracker only if it can read it; a
+  // SubplanDag decides again for the tracker it shares.
+  domain_.state->set_maintained(analysis_.reads_domain());
   nodes_.resize(network_.nodes.size());
   for (std::size_t i = 0; i < network_.nodes.size(); ++i) {
     inc::NodeState& ns = *nodes_[i].state;
@@ -226,7 +229,8 @@ Result<bool> IncrementalEngine::OnTransition(const Database& state,
   }
   // Only the objects this engine writes are updated here. Every object it
   // reads has a writer registered earlier, which the monitor checks first
-  // (see subplan_dag.h), so those are already at this transition.
+  // (see subplan_dag.h), so those are already at this transition. An
+  // unmaintained tracker absorbs nothing.
   if (domain_.writer) domain_.state->Absorb(state);
   for (std::size_t i = 0; i < network_.nodes.size(); ++i) {
     if (nodes_[i].writer) RTIC_RETURN_IF_ERROR(UpdateNode(i, state, t));
@@ -402,7 +406,11 @@ Result<IncrementalEngine::Staged> IncrementalEngine::ParseState(
 }
 
 void IncrementalEngine::InstallState(Staged staged) {
-  if (domain_.writer) *domain_.state = std::move(staged.domain);
+  // An unmaintained tracker stays empty: the domain values of a checkpoint
+  // written while it was still maintained are dropped.
+  if (domain_.writer && domain_.state->maintained()) {
+    *domain_.state = std::move(staged.domain);
+  }
   has_prev_ = staged.has_prev;
   prev_time_ = staged.prev_time;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
@@ -477,11 +485,15 @@ Result<std::string> IncrementalEngine::SaveStateDelta() const {
 
   // Domain values absorbed since the last save, in first-absorption order.
   // The parent's domain size is included so a delta applied to the wrong
-  // parent state is rejected instead of silently diverging.
+  // parent state is rejected instead of silently diverging. An unmaintained
+  // tracker writes an empty section (it may have dropped values since the
+  // last save).
   const std::vector<Value>& additions = domain_.state->additions();
-  w.WriteSize(domain_saved_count_);
-  w.WriteSize(additions.size() - domain_saved_count_);
-  for (std::size_t i = domain_saved_count_; i < additions.size(); ++i) {
+  const std::size_t saved =
+      domain_.state->maintained() ? domain_saved_count_ : 0;
+  w.WriteSize(saved);
+  w.WriteSize(additions.size() - saved);
+  for (std::size_t i = saved; i < additions.size(); ++i) {
     w.WriteValue(additions[i]);
   }
 
@@ -527,9 +539,13 @@ Status IncrementalEngine::LoadStateDelta(const std::string& data) {
   RTIC_ASSIGN_OR_RETURN(std::int64_t domain_before, r.ReadInt());
   RTIC_ASSIGN_OR_RETURN(std::int64_t domain_added, r.ReadInt());
   // A reader of the domain finds its writer's (identical) delta applied.
+  // Only a maintained tracker can check the chain: an unmaintained one
+  // drops the values (the monitor's parent-transition check still chains
+  // the delta).
   const std::int64_t domain_now =
       static_cast<std::int64_t>(domain_.state->additions().size());
-  if (domain_before + (domain_.writer ? 0 : domain_added) != domain_now) {
+  if (domain_.state->maintained() &&
+      domain_before + (domain_.writer ? 0 : domain_added) != domain_now) {
     return Status::FailedPrecondition(
         "delta checkpoint chains to a different parent state (domain size " +
         std::to_string(domain_before) + " vs " + std::to_string(domain_now) +

@@ -32,6 +32,11 @@
 // identical temporal nodes, identical verdicts and the domain tracker one
 // shared object each, written by one engine and read by the others.
 // Verdicts and checkpoints are the same either way.
+//
+// The domain tracker is maintained only where an engine holding it can
+// read it (tl::Analysis::reads_domain() of the normalized constraint).
+// Otherwise it stays empty, absorbs nothing, and checkpoints carry an empty
+// domain section under the same format.
 
 #ifndef RTIC_ENGINES_INCREMENTAL_ENGINE_H_
 #define RTIC_ENGINES_INCREMENTAL_ENGINE_H_

@@ -147,12 +147,16 @@ void SubplanDag::AssignWriters() {
   auto assign = [&](const void* object, bool* writer) {
     *writer = written.insert(object).second;
   };
+  // Tracker -> whether an engine holding it can read it.
+  std::unordered_map<DomainTracker*, bool> read;
   for (Member& m : members_) {
     IncrementalEngine* e = m.engine;
     assign(e->domain_.state.get(), &e->domain_.writer);
+    read[e->domain_.state.get()] |= e->analysis_.reads_domain();
     for (auto& node : e->nodes_) assign(node.state.get(), &node.writer);
     assign(e->verdict_.state.get(), &e->verdict_.writer);
   }
+  for (const auto& [tracker, reads] : read) tracker->set_maintained(reads);
 }
 
 }  // namespace inc

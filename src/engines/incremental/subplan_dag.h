@@ -23,7 +23,14 @@
 // it. Registration order is therefore a topological order of the DAG, and
 // checking engines in that order, as the monitor does, updates every
 // object before anyone reads it, with no lock and no counter. Removing a
-// writer hands each of its objects to the next live reader. (A
+// writer hands each of its objects to the next live reader. A domain
+// tracker is also maintained (absorbs states) only while some engine
+// holding it can read it (tl::Analysis::reads_domain()); the DAG decides
+// that wherever it assigns writers, so a tracker left only to domain-free
+// engines by a removal, or split off at a restore, is decided again by the
+// engines left holding it. A tracker can only start being maintained when
+// it joins an engine of its own epoch, before either has seen a state, so
+// a maintained tracker always covers its whole epoch. (A
 // writer whose evaluation fails leaves its objects partly updated for that
 // transition; the monitor reports the writer's error, which comes first in
 // registration order. Registration validates constraints, so such errors
@@ -79,7 +86,8 @@ class SubplanDag {
     std::string text;                     // printed constraint
   };
 
-  /// Makes the earliest slot referencing each object its writer.
+  /// Makes the earliest slot referencing each object its writer, and
+  /// maintains each domain tracker iff an engine holding it reads it.
   void AssignWriters();
 
   std::vector<Member> members_;  // registration order

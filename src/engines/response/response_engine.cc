@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "storage/codec.h"
+#include "tl/domain_safety.h"
 
 namespace rtic {
 
@@ -90,6 +91,11 @@ Result<std::unique_ptr<ResponseEngine>> ResponseEngine::Create(
   engine->trigger_ = trigger;
   engine->response_ = response;
   engine->window_ = eventually->interval();
+  // The engine evaluates its trigger and its response and nothing else, so
+  // it keeps a domain tracker only if one of them can read it.
+  tl::DomainSafety safety(engine->analysis_);
+  engine->domain_.set_maintained(!safety.EvalSafe(*trigger) ||
+                                 !safety.EvalSafe(*response));
   // Positions of free(response) inside sorted free(trigger).
   const auto& resp_free = engine->analysis_.FreeVars(*response);
   for (const std::string& v : resp_free) {
@@ -248,7 +254,9 @@ Status ResponseEngine::LoadState(const std::string& data) {
   RTIC_ASSIGN_OR_RETURN(Timestamp prev_time, r.ReadInt());
 
   RTIC_ASSIGN_OR_RETURN(std::int64_t domain_count, r.ReadInt());
+  // An unmaintained tracker drops the values a checkpoint carries.
   DomainTracker domain;
+  domain.set_maintained(domain_.maintained());
   std::vector<Value> domain_values;
   for (std::int64_t i = 0; i < domain_count; ++i) {
     RTIC_ASSIGN_OR_RETURN(Value v, r.ReadValue());

@@ -19,6 +19,10 @@
 // valuations whose obligations expired there. Space is bounded by the
 // window width and the trigger rate — never by history length.
 //
+// The engine keeps a cumulative domain tracker only if its trigger or its
+// response can read the domain (tl::DomainSafety); otherwise the tracker
+// stays empty and checkpoints carry an empty domain section.
+//
 // v1 restrictions (checked at Create):
 //   * the constraint shape is `forall x̄:`* `trigger implies eventually[a,b]
 //     response` (the forall prefix may be empty for 0-ary constraints);

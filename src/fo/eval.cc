@@ -42,7 +42,8 @@ class Evaluator {
         // Complement of the (generated, hence complete) falsification set
         // over the quantification domain.
         RTIC_ASSIGN_OR_RETURN(Relation bad, BadSet(f));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, bad);
       }
       case FormulaKind::kExists: {
@@ -55,7 +56,8 @@ class Evaluator {
         RTIC_ASSIGN_OR_RETURN(Relation bad, BadSet(f.child(0)));
         RTIC_ASSIGN_OR_RETURN(Relation bad_proj,
                               Canonicalize(std::move(bad), f));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, bad_proj);
       }
       case FormulaKind::kPrevious:
@@ -146,9 +148,11 @@ class Evaluator {
       case FormulaKind::kHistorically:
       case FormulaKind::kSince: {
         // Genuine complement: domain product minus the satisfaction set.
-        // (The analyzer warns when a constraint can reach this path.)
+        // (tl::DomainSafety counts every constraint that can reach this
+        // path as reading the domain.)
         RTIC_ASSIGN_OR_RETURN(Relation sat, Eval(f));
-        Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+        RTIC_ASSIGN_OR_RETURN(Relation domain,
+                              DomainRelation(ctx_.analysis->ColumnsFor(f)));
         return ra::Difference(domain, sat);
       }
       case FormulaKind::kEventually:
@@ -268,8 +272,9 @@ class Evaluator {
   /// Compiles the per-row work of an atom scan into position checks, done
   /// once per node instead of once per row (the old code rebuilt a
   /// name-keyed binding map for every scanned row).
-  static EvalScratch::AtomPlan BuildAtomPlan(
-      const Formula& f, const std::vector<Column>& columns) {
+  static EvalScratch::AtomPlan BuildAtomPlan(const Formula& f,
+                                             const tl::Analysis& analysis) {
+    const std::vector<Column>& columns = analysis.ColumnsFor(f);
     EvalScratch::AtomPlan plan;
     // First table position of each variable name (atoms are narrow; linear
     // scan beats a map here).
@@ -299,7 +304,7 @@ class Evaluator {
         }
       }
     }
-    plan.layout = Relation::MakeLayout(columns);
+    plan.layout = analysis.LayoutFor(f);
     plan.identity = plan.const_checks.empty() && plan.dup_checks.empty() &&
                     plan.var_pos.size() == f.terms().size();
     for (std::size_t c = 0; plan.identity && c < plan.var_pos.size(); ++c) {
@@ -323,22 +328,22 @@ class Evaluator {
         return hit->second.rel;
       }
     }
-    const std::vector<Column>& columns = ctx_.analysis->ColumnsFor(f);
     const EvalScratch::AtomPlan* plan;
     EvalScratch::AtomPlan local_plan;
     if (scratch_ != nullptr) {
       auto it = scratch_->atom_plans.find(&f);
       if (it == scratch_->atom_plans.end()) {
-        it = scratch_->atom_plans.emplace(&f, BuildAtomPlan(f, columns)).first;
+        it = scratch_->atom_plans.emplace(&f, BuildAtomPlan(f, *ctx_.analysis))
+                 .first;
       }
       plan = &it->second;
     } else {
-      local_plan = BuildAtomPlan(f, columns);
+      local_plan = BuildAtomPlan(f, *ctx_.analysis);
       plan = &local_plan;
     }
 
     Relation out(plan->layout);
-    const std::size_t n = columns.size();
+    const std::size_t n = plan->var_pos.size();
     for (const Tuple& row : table->rows()) {
       bool match = true;
       for (const auto& [i, v] : plan->const_checks) {
@@ -384,7 +389,8 @@ class Evaluator {
       return truth ? Relation::True() : Relation::False();
     }
     // Materialize over the (one or two) free variables, then filter.
-    Relation domain = DomainRelation(ctx_.analysis->ColumnsFor(f));
+    RTIC_ASSIGN_OR_RETURN(Relation domain,
+                          DomainRelation(ctx_.analysis->ColumnsFor(f)));
     return FilterByComparison(std::move(domain), f, negated);
   }
 
@@ -493,11 +499,22 @@ class Evaluator {
 
   // ---- plumbing -----------------------------------------------------------
 
-  const std::vector<Value>& Domain(ValueType type) {
+  /// The quantification domain of `type`. Fails when the context's tracker
+  /// is not maintained: an engine stops maintaining it only when the static
+  /// analysis (tl/domain_safety.h) says no evaluation can get here, so
+  /// answering from an empty tracker would hide a wrong analysis behind a
+  /// wrong verdict.
+  Result<const std::vector<Value>*> Domain(ValueType type) {
     // With a scratch and a tracker, domain values are cached across
     // evaluations and invalidated by the tracker's version (its additions
     // count — the tracker only ever grows).
     if (scratch_ != nullptr) scratch_->domain_consulted = true;
+    if (ctx_.domain != nullptr && !ctx_.domain->maintained()) {
+      return Status::Internal(
+          "evaluation reached the quantification domain through a domain "
+          "tracker that is not maintained (the domain analysis ruled it "
+          "unreadable)");
+    }
     if (scratch_ != nullptr && ctx_.domain != nullptr) {
       std::uint64_t version = ctx_.domain->additions().size();
       if (scratch_->domain_version != version) {
@@ -506,37 +523,39 @@ class Evaluator {
         scratch_->domain_version = version;
       }
       auto it = scratch_->domain_values.find(type);
-      if (it != scratch_->domain_values.end()) return it->second;
-      return scratch_->domain_values.emplace(type, ActiveDomain(ctx_, type))
-          .first->second;
+      if (it != scratch_->domain_values.end()) return &it->second;
+      return &scratch_->domain_values.emplace(type, ActiveDomain(ctx_, type))
+                  .first->second;
     }
     auto it = domain_cache_.find(type);
-    if (it != domain_cache_.end()) return it->second;
+    if (it != domain_cache_.end()) return &it->second;
     std::vector<Value> values = ActiveDomain(ctx_, type);
-    return domain_cache_.emplace(type, std::move(values)).first->second;
+    return &domain_cache_.emplace(type, std::move(values)).first->second;
   }
 
   /// Single-column relation over the active domain of `type`, labeled
   /// `name`. Materialized once per type per domain version in the scratch;
   /// relabeling shares the row storage, so a cache hit is O(1).
-  Relation DomainColumn(const std::string& name, ValueType type) {
+  Result<Relation> DomainColumn(const std::string& name, ValueType type) {
+    // Refreshes the scratch's domain version.
+    RTIC_ASSIGN_OR_RETURN(const std::vector<Value>* values, Domain(type));
     if (scratch_ != nullptr && ctx_.domain != nullptr) {
-      const std::vector<Value>& values = Domain(type);  // refreshes version
       auto it = scratch_->domain_relations.find(type);
       if (it == scratch_->domain_relations.end()) {
         it = scratch_->domain_relations
-                 .emplace(type, ra::FromValues(name, type, values))
+                 .emplace(type, ra::FromValues(name, type, *values))
                  .first;
       }
       return it->second.WithColumns({Column{name, type}});
     }
-    return ra::FromValues(name, type, Domain(type));
+    return ra::FromValues(name, type, *values);
   }
 
-  Relation DomainRelation(const std::vector<Column>& columns) {
+  Result<Relation> DomainRelation(const std::vector<Column>& columns) {
     Relation out = Relation::True();
     for (const Column& col : columns) {
-      out = ra::CrossProduct(out, DomainColumn(col.name, col.type)).value();
+      RTIC_ASSIGN_OR_RETURN(Relation column, DomainColumn(col.name, col.type));
+      RTIC_ASSIGN_OR_RETURN(out, ra::CrossProduct(out, column));
     }
     return out;
   }
@@ -555,15 +574,16 @@ class Evaluator {
       }
       positions[c] = *i;
     }
-    return ra::ProjectPositions(rel, positions, Relation::MakeLayout(want));
+    return ra::ProjectPositions(rel, positions,
+                                ctx_.analysis->LayoutFor(node));
   }
 
   Result<Relation> ExtendToColumns(Relation rel,
                                    const std::vector<Column>& target) {
     for (const Column& col : target) {
       if (rel.IndexOf(col.name).has_value()) continue;
-      RTIC_ASSIGN_OR_RETURN(
-          rel, ra::CrossProduct(rel, DomainColumn(col.name, col.type)));
+      RTIC_ASSIGN_OR_RETURN(Relation column, DomainColumn(col.name, col.type));
+      RTIC_ASSIGN_OR_RETURN(rel, ra::CrossProduct(rel, column));
     }
     return rel;
   }

@@ -68,9 +68,11 @@ struct ConstraintMonitor::Registered {
   IncrementalEngine* incremental = nullptr;  // `engine`, when linked in dag_
   std::size_t transitions = 0;
   std::size_t violations = 0;
-  std::int64_t total_check_micros = 0;
-  std::int64_t max_check_micros = 0;
-  std::int64_t last_check_micros = 0;
+  // Check times in ns, converted to ConstraintStats' µs only when reported
+  // (a check of under 1 µs would otherwise count as 0).
+  std::int64_t total_check_nanos = 0;
+  std::int64_t max_check_nanos = 0;
+  std::int64_t last_check_nanos = 0;
 };
 
 ConstraintMonitor::ConstraintMonitor(MonitorOptions options)
@@ -262,18 +264,18 @@ Result<std::vector<Violation>> ConstraintMonitor::Commit(
   Status error = Status::OK();
   std::vector<Violation> violations;
   for (const auto& c : constraints_) {
-    std::int64_t micros = 0;
+    std::int64_t nanos = 0;
     Violation violation;
-    Result<bool> holds = CheckConstraint(*c, &micros, &violation);
+    Result<bool> holds = CheckConstraint(*c, &nanos, &violation);
     if (!error.ok()) continue;
     if (!holds.ok()) {
       error = holds.status();
       continue;
     }
     ++c->transitions;
-    c->total_check_micros += micros;
-    c->max_check_micros = std::max(c->max_check_micros, micros);
-    c->last_check_micros = micros;
+    c->total_check_nanos += nanos;
+    c->max_check_nanos = std::max(c->max_check_nanos, nanos);
+    c->last_check_nanos = nanos;
     if (holds.value()) continue;
     ++c->violations;
     ++total_violations_;
@@ -287,13 +289,13 @@ Result<std::vector<Violation>> ConstraintMonitor::Commit(
 }
 
 Result<bool> ConstraintMonitor::CheckConstraint(Registered& c,
-                                                std::int64_t* micros,
+                                                std::int64_t* nanos,
                                                 Violation* violation) {
   auto started = std::chrono::steady_clock::now();
   Result<bool> holds = c.engine->OnTransition(db_, current_time_);
-  *micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - started)
-                .count();
+  *nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - started)
+               .count();
   if (!holds.ok() || holds.value()) return holds;
 
   violation->constraint_name = c.name;
@@ -338,9 +340,9 @@ std::vector<ConstraintStats> ConstraintMonitor::Stats() const {
     s.name = c->name;
     s.transitions = c->transitions;
     s.violations = c->violations;
-    s.total_check_micros = c->total_check_micros;
-    s.max_check_micros = c->max_check_micros;
-    s.last_check_micros = c->last_check_micros;
+    s.total_check_micros = c->total_check_nanos / 1000;
+    s.max_check_micros = c->max_check_nanos / 1000;
+    s.last_check_micros = c->last_check_nanos / 1000;
     s.storage_rows = c->engine->StorageRows();
     s.shared_subplans = c->engine->SharedSubplans();
     s.aux_valuations = c->engine->AuxValuationCount();
@@ -541,9 +543,9 @@ Status ConstraintMonitor::LoadState(const std::string& data) {
         static_cast<std::size_t>(counters[i].first);
     constraints_[i]->violations =
         static_cast<std::size_t>(counters[i].second);
-    constraints_[i]->total_check_micros = 0;
-    constraints_[i]->max_check_micros = 0;
-    constraints_[i]->last_check_micros = 0;
+    constraints_[i]->total_check_nanos = 0;
+    constraints_[i]->max_check_nanos = 0;
+    constraints_[i]->last_check_nanos = 0;
   }
   db_ = std::move(restored_db);
   transition_count_ = static_cast<std::size_t>(transition_count);
@@ -789,9 +791,9 @@ Status ConstraintMonitor::LoadStateDelta(const std::string& data) {
     }
     constraints_[i]->transitions = static_cast<std::size_t>(sc.transitions);
     constraints_[i]->violations = static_cast<std::size_t>(sc.violations);
-    constraints_[i]->total_check_micros = 0;
-    constraints_[i]->max_check_micros = 0;
-    constraints_[i]->last_check_micros = 0;
+    constraints_[i]->total_check_nanos = 0;
+    constraints_[i]->max_check_nanos = 0;
+    constraints_[i]->last_check_nanos = 0;
   }
   for (auto& [name, staged] : staged_tables) {
     *db_.GetMutableTable(name).value() = std::move(staged);

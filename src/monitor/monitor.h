@@ -308,8 +308,8 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
 
   /// Checks `c` against the just-committed state: whether it holds, and
   /// its violation report (witnesses included) when it does not.
-  /// `micros` receives the wall time of the engine's transition.
-  Result<bool> CheckConstraint(Registered& c, std::int64_t* micros,
+  /// `nanos` receives the wall time of the engine's transition.
+  Result<bool> CheckConstraint(Registered& c, std::int64_t* nanos,
                                Violation* violation);
 
   MonitorOptions options_;

@@ -13,15 +13,11 @@
 //      R's partition-key position (so for any binding of x, every tuple
 //      any atom can match — now or anywhere in the past — lives on shard
 //      hash(x)).
-//   3. Counterexample evaluation is provably active-domain-free: a
-//      static mirror of fo/eval.cc's strategy shows every variable's
-//      bindings come from the co-located atoms themselves, never from
-//      the (per-shard, hence partial) active domain. The analyzer's
-//      range-restriction warnings are NOT sufficient here — they cover
-//      only `exists`-bound variables, while the evaluator's complement
-//      and extension fallbacks also fire for universally quantified
-//      ones (e.g. `forall x: P(x)` falsifies over the domain) without
-//      any warning.
+//   3. Counterexample evaluation is provably active-domain-free: the
+//      static mirror of fo/eval.cc's strategy (tl::DomainSafety) shows
+//      every variable's bindings come from the co-located atoms
+//      themselves, never from the (per-shard, hence partial) active
+//      domain.
 //
 // Under 1-3, for a fixed key value v the subformula's satisfaction at
 // every state depends only on tuples keyed v — all routed to shard

@@ -6,7 +6,13 @@ void DomainTracker::Add(const Value& v) {
   if (values_.insert(v).second) additions_.push_back(v);
 }
 
+void DomainTracker::set_maintained(bool maintained) {
+  if (!maintained) *this = DomainTracker();  // releases the memory, too
+  maintained_ = maintained;
+}
+
 void DomainTracker::Absorb(const Database& db) {
+  if (!maintained_) return;
   for (const auto& [name, table] : db.tables()) {
     auto [it, first] = absorbed_versions_.try_emplace(table.id(), 0);
     if (!first && it->second == table.version()) {
@@ -29,6 +35,7 @@ void DomainTracker::Absorb(const Database& db) {
 }
 
 void DomainTracker::AbsorbValues(const std::vector<Value>& values) {
+  if (!maintained_) return;
   for (const Value& v : values) Add(v);
 }
 

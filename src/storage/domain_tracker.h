@@ -2,15 +2,23 @@
 // that has appeared in any monitored state so far, bucketed by type.
 //
 // Quantifiers and negation in constraint formulas range over this set (plus
-// the formula's constants). Using the *history's* domain rather than the
-// current state's is essential: a temporal subformula's satisfaction
-// relation may carry values that have since left the database (e.g. an old
-// salary), and those valuations must still be able to falsify a constraint.
+// the formula's constants and the registered extra constants, which the
+// evaluator reads from its context, never from a tracker). Using the
+// *history's* domain rather than the current state's is essential: a
+// temporal subformula's satisfaction relation may carry values that have
+// since left the database (e.g. an old salary), and those valuations must
+// still be able to falsify a constraint.
 //
-// For range-restricted (safe) constraints the evaluator never consults the
-// tracker; it exists so that unsafe formulas get well-defined, engine-
-// independent semantics. Its size grows with data diversity, not history
-// length, and is excluded from the bounded-encoding space accounting.
+// The tracker grows with the history's data diversity, not its bounded
+// encoding, so it is kept only where it can be read. For range-restricted
+// constraints no evaluation reaches it (tl/domain_safety.h decides this
+// statically), and their engines leave their trackers *unmaintained*: empty,
+// absorbing nothing, checkpointed as an empty domain section. The naive
+// engine, which stores the history anyway, and every constraint the analysis
+// cannot clear keep a maintained tracker, so unsafe formulas still get
+// well-defined, engine-independent semantics. An evaluation that reaches an
+// unmaintained tracker fails with Status::Internal (fo/eval.h) rather than
+// quantify over an empty domain.
 
 #ifndef RTIC_STORAGE_DOMAIN_TRACKER_H_
 #define RTIC_STORAGE_DOMAIN_TRACKER_H_
@@ -28,6 +36,15 @@ namespace rtic {
 /// Monotonically growing per-type value sets.
 class DomainTracker {
  public:
+  /// Whether Absorb and AbsorbValues add anything. Trackers start
+  /// maintained; an unmaintained tracker is always empty.
+  bool maintained() const { return maintained_; }
+
+  /// Starts or stops maintaining the tracker. Stopping drops every tracked
+  /// value. Starting begins from empty, so it is exact only before the
+  /// first state of the history the tracker is meant to cover.
+  void set_maintained(bool maintained);
+
   /// Adds every value occurring in `db`. Tables whose (id, version) pair is
   /// unchanged since a prior Absorb are skipped — their values are already
   /// tracked, and the domain only grows. A table whose last batch started
@@ -61,6 +78,7 @@ class DomainTracker {
  private:
   void Add(const Value& v);
 
+  bool maintained_ = true;
   std::set<Value> values_;
   std::vector<Value> additions_;  // values_ in first-absorption order
   // Last absorbed version per table id: the skip check for Absorb.

@@ -8,7 +8,8 @@
 //     a base (or the WAL back to it) while deltas still reference it, so a
 //     lost or corrupt delta degrades to base + longer replay, never data
 //     loss,
-//   * pre-delta RTICMON2 checkpoint files still recover,
+//   * pre-delta RTICMON2 checkpoint files still recover, and so does a
+//     base+delta chain written before domain trackers became conditional,
 //   * compressed and uncompressed checkpoints interoperate freely and
 //     recover byte-identically, and corrupt compressed frames are rejected,
 //   * delta payload size scales with churn, not state size.
@@ -165,7 +166,11 @@ TEST(EngineDeltaTest, ShadowEngineTracksViaDeltasByteIdentically) {
 }
 
 TEST(EngineDeltaTest, DeltaOntoWrongParentRejected) {
-  const std::string text = "forall a: P(a) implies once P(a)";
+  // The engine checks the chain by its domain size, so the constraint must
+  // read the domain (`once P(a)` is falsified over it); a domain-free one
+  // keeps no domain, and only the monitor's transition count chains it
+  // (MonitorDeltaTest.DeltaOntoWrongParentRejected).
+  const std::string text = "forall a: once P(a)";
   tl::PredicateCatalog catalog;
   catalog["P"] = testing::IntSchema({"a"});
   tl::FormulaPtr formula = Unwrap(tl::ParseFormula(text));
@@ -229,6 +234,68 @@ TEST(MonitorDeltaTest, StackedDeltasRestoreAndContinueIdentically) {
     std::vector<Violation> got = Unwrap(restored->ApplyUpdate(MakeBatch(i)));
     ASSERT_EQ(got.size(), want.size()) << "diverged at step " << i;
   }
+}
+
+// tests/data/commit_parent_{base,delta1,delta2,delta3}.ckpt were written by
+// the release before domain trackers became conditional: a commit-family
+// monitor (four incremental constraints and one response constraint) fed
+// MakeCommitProtocolWorkload at seed 4242 and length 400, with a base
+// after 100 states and a delta after each further 50. Their domain sections
+// list every value seen. None of the five constraints reads the domain, so
+// this release keeps no tracker for them and must drop those values, then
+// continue exactly like a monitor that never stopped.
+TEST(MonitorDeltaTest, ParentWrittenCommitChainRestores) {
+  workload::CommitParams params;
+  params.length = 400;
+  params.seed = 4242;
+  const workload::Workload w = workload::MakeCommitProtocolWorkload(params);
+  auto make = [&w]() {
+    auto monitor = std::make_unique<ConstraintMonitor>();
+    for (const auto& [name, schema] : w.schema) {
+      RTIC_EXPECT_OK(monitor->CreateTable(name, schema));
+    }
+    for (const auto& [name, text] : w.constraints) {
+      RTIC_EXPECT_OK(monitor->RegisterConstraint(name, text));
+    }
+    return monitor;
+  };
+  auto read = [](const std::string& name) {
+    return Unwrap(wal::DefaultFs()->ReadFile(std::string(RTIC_TEST_DATA_DIR) +
+                                             "/" + name));
+  };
+
+  auto reference = make();
+  std::string base_now;
+  for (std::size_t i = 0; i < 250; ++i) {
+    RTIC_ASSERT_OK(reference->ApplyUpdate(w.batches[i]).status());
+    if (i + 1 == 100) base_now = Unwrap(reference->SaveState());
+  }
+  const std::string parent_base = read("commit_parent_base.ckpt");
+  // The parent's base differs from this release's only by its domain
+  // values.
+  EXPECT_GT(parent_base.size(), base_now.size());
+
+  auto restored = make();
+  RTIC_ASSERT_OK(restored->LoadState(parent_base));
+  EXPECT_EQ(Unwrap(restored->SaveState()), base_now);
+  for (int d = 1; d <= 3; ++d) {
+    RTIC_ASSERT_OK(restored->LoadStateDelta(
+        read("commit_parent_delta" + std::to_string(d) + ".ckpt")));
+  }
+  ASSERT_EQ(restored->transition_count(), 250u);
+  EXPECT_EQ(Unwrap(restored->SaveState()), Unwrap(reference->SaveState()));
+  EXPECT_EQ(restored->total_violations(), reference->total_violations());
+
+  for (std::size_t i = 250; i < w.batches.size(); ++i) {
+    std::vector<Violation> want =
+        Unwrap(reference->ApplyUpdate(w.batches[i]));
+    std::vector<Violation> got = Unwrap(restored->ApplyUpdate(w.batches[i]));
+    ASSERT_EQ(got.size(), want.size()) << "diverged at state " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].ToString(), want[k].ToString()) << "state " << i;
+    }
+  }
+  EXPECT_GT(reference->total_violations(), 0u);
 }
 
 TEST(MonitorDeltaTest, DeltaOntoWrongParentRejected) {

@@ -14,6 +14,8 @@
 #include "engines/checker_engine.h"
 #include "engines/incremental/engine.h"
 #include "engines/naive/naive_engine.h"
+#include "fo/eval.h"
+#include "fo/witness.h"
 #include "monitor/monitor.h"
 #include "storage/codec.h"
 #include "tests/test_util.h"
@@ -135,6 +137,52 @@ inline std::map<std::string, Schema> PQRSchemas() {
   return {{"P", IntSchema({"a"})},
           {"Q", IntSchema({"a"})},
           {"R", IntSchema({"a", "b"})}};
+}
+
+/// Whether evaluating `f` over `db` — its satisfying valuations, or its
+/// falsifications when `falsify` — consults the quantification domain.
+/// Temporal leaves resolve to empty relations: which paths reach the domain
+/// depends on the formula, not on the rows.
+inline bool ConsultsDomain(const tl::Formula& f, bool falsify,
+                           const tl::Analysis& analysis, const Database& db) {
+  DomainTracker tracker;
+  tracker.Absorb(db);
+  fo::EvalScratch scratch;
+  fo::EvalContext ctx;
+  ctx.db = &db;
+  ctx.analysis = &analysis;
+  ctx.domain = &tracker;
+  ctx.scratch = &scratch;
+  ctx.resolver = [&analysis](const tl::Formula& node) -> Result<Relation> {
+    return Relation(analysis.LayoutFor(node));
+  };
+  (void)(falsify ? fo::EvaluateFalsifications(f, ctx) : fo::Evaluate(f, ctx));
+  return scratch.domain_consulted;
+}
+
+/// Whether any evaluation an incremental or active engine makes over its
+/// tree `root` consults the domain over `db`: the verdict, the body of every
+/// temporal node (both sides of a since), or the counterexamples (the
+/// falsifications of the body under the outer `forall` chain).
+inline bool EngineEvaluationsConsultDomain(const tl::Formula& root,
+                                           const tl::Analysis& analysis,
+                                           const Database& db) {
+  const tl::Formula* body = &root;
+  while (body->kind() == tl::FormulaKind::kForall) body = &body->child(0);
+  bool consulted = ConsultsDomain(root, false, analysis, db) ||
+                   ConsultsDomain(*body, true, analysis, db);
+  std::vector<const tl::Formula*> stack = {&root};
+  while (!stack.empty() && !consulted) {
+    const tl::Formula* f = stack.back();
+    stack.pop_back();
+    for (std::size_t i = 0; i < f->num_children(); ++i) {
+      if (tl::IsTemporal(f->kind())) {
+        consulted |= ConsultsDomain(f->child(i), false, analysis, db);
+      }
+      stack.push_back(&f->child(i));
+    }
+  }
+  return consulted;
 }
 
 }  // namespace testing

@@ -23,6 +23,14 @@
 // response at every state through its own evaluation scratch, so a read
 // record that no evaluation clears grows here by a few pointers per state.
 //
+// The commit-protocol stream (MakeCommitProtocolWorkload, default dials)
+// opens a transaction with a fresh id at about one state in three, so its
+// values never stop being new, while its live data (pending transactions,
+// their votes, and the anchors of the five commit constraints) stays
+// bounded. None of the five constraints can read the quantification domain,
+// so no engine keeps a cumulative domain tracker for them; one that did
+// would add every new id to it and grow by tens of bytes per state.
+//
 // Live bytes come from the counting global operator new/delete of
 // bench/alloc_counter.cc, linked into this test, which adds and subtracts
 // malloc_usable_size. When that reading does not move (a runtime that
@@ -42,6 +50,7 @@
 #include "shard/sharded_monitor.h"
 #include "storage/update_batch.h"
 #include "tests/test_util.h"
+#include "workload/generators.h"
 
 namespace rtic {
 namespace {
@@ -138,6 +147,38 @@ void ExpectFlatHeap(MonitorLike* monitor) {
       << "-state warm-up";
 }
 
+void ExpectFlatCommitHeap(ConstraintMonitor* monitor) {
+  workload::CommitParams params;
+  params.length = kWarmupStates + kMeasuredStates;
+  params.seed = 4242;
+  const workload::Workload w = workload::MakeCommitProtocolWorkload(params);
+  for (const auto& [name, schema] : w.schema) {
+    RTIC_ASSERT_OK(monitor->CreateTable(name, schema));
+  }
+  ASSERT_EQ(w.constraints.size(), 5u);
+  for (const auto& [name, text] : w.constraints) {
+    RTIC_ASSERT_OK(monitor->RegisterConstraint(name, text));
+  }
+  auto feed = [&](std::size_t from, std::size_t to) -> Status {
+    for (std::size_t i = from; i < to; ++i) {
+      Result<std::vector<Violation>> verdict =
+          monitor->ApplyUpdate(w.batches[i]);
+      if (!verdict.ok()) return verdict.status();
+    }
+    return Status::OK();
+  };
+  RTIC_ASSERT_OK(feed(0, kWarmupStates));
+  const std::int64_t baseline = bench::LiveBytes();
+  RTIC_ASSERT_OK(feed(kWarmupStates, kWarmupStates + kMeasuredStates));
+  const std::int64_t growth = bench::LiveBytes() - baseline;
+  EXPECT_GT(monitor->total_violations(), 0u);
+  EXPECT_LE(growth, kGrowthBoundBytes)
+      << "live heap grew " << growth / 1024 << " KiB over "
+      << kMeasuredStates << " commit states after a " << kWarmupStates
+      << "-state warm-up (" << monitor->TotalStorageRows()
+      << " storage rows at the end)";
+}
+
 class MemoryBoundTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -151,6 +192,11 @@ class MemoryBoundTest : public ::testing::Test {
 TEST_F(MemoryBoundTest, MonitorHeapDoesNotGrowWithTheHistory) {
   ConstraintMonitor monitor;
   ExpectFlatHeap(&monitor);
+}
+
+TEST_F(MemoryBoundTest, CommitMonitorHeapDoesNotGrowWithFreshIds) {
+  ConstraintMonitor monitor;
+  ExpectFlatCommitHeap(&monitor);
 }
 
 TEST_F(MemoryBoundTest, ShardedMonitorHeapDoesNotGrowWithTheHistory) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+
 #include "monitor/monitor.h"
 #include "tests/test_util.h"
 
@@ -348,6 +351,41 @@ TEST(MonitorSharingTest, RestoreSplitsSubplansWhoseStateDiffers) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].ToString(), want[0].ToString());
   EXPECT_EQ(Unwrap(restarted->SaveState()), Unwrap(original->SaveState()));
+}
+
+// An engine whose every transition spins for at least 600 ns: well under
+// the 1 µs that a clock reading truncated to whole µs rounds down to zero.
+class SpinEngine : public CheckerEngine {
+ public:
+  Result<bool> OnTransition(const Database& /*state*/,
+                            Timestamp /*t*/) override {
+    const auto started = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - started <
+           std::chrono::nanoseconds(600)) {
+    }
+    return true;
+  }
+  Result<Relation> CurrentCounterexamples(const Database& /*state*/) override {
+    return Relation();
+  }
+  std::size_t StorageRows() const override { return 0; }
+  const char* name() const override { return "spin"; }
+};
+
+// Check times are summed before they are rounded, so many sub-µs checks
+// still add up to their total.
+TEST(MonitorStatsTest, SubMicrosecondChecksAddUp) {
+  ConstraintMonitor monitor;
+  RTIC_ASSERT_OK(
+      monitor.RegisterConstraintEngine("spin", std::make_unique<SpinEngine>()));
+  for (Timestamp t = 1; t <= 1000; ++t) {
+    EXPECT_TRUE(Unwrap(monitor.Tick(t)).empty());
+  }
+  const std::vector<ConstraintStats> stats = monitor.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].transitions, 1000u);
+  EXPECT_GE(stats[0].total_check_micros, 500);
+  EXPECT_GE(stats[0].total_check_micros, stats[0].max_check_micros);
 }
 
 TEST(MonitorOptionsTest, EngineKindNames) {
