@@ -1,4 +1,4 @@
-// E17 — hot-path overhaul: cached join indexes, the atom cache and kept
+// E17 — hot-path overhaul: cached join indexes, the scan cache and kept
 // results, and shared-subplan evaluation.
 //
 // Four series:
@@ -166,7 +166,7 @@ BENCHMARK(BM_E17_OverlapSharing)
 
 // Steady-state allocation cost of one ApplyUpdate on the single-copy
 // payroll workload (the E7 copies:1 shape). The cached join indexes, the
-// atom cache and kept results exist to drive this toward zero.
+// scan cache and kept results exist to drive this toward zero.
 void BM_E17_AllocationsPerUpdate(benchmark::State& state) {
   workload::Workload w = PayrollCopies(1);
   auto monitor = bench::MakeMonitor(w, EngineKind::kIncremental);

@@ -22,11 +22,15 @@
 # BENCH_*.json files from scripts/bench.sh (skipped until two runs exist).
 # The ASan+UBSan pass also runs the KeptResultTest and BatchAbsorbTest
 # suites (tests/reuse_test.cc: kept-result keys hold table pointers, and
-# tables hold batch records). The domain-tracker tests ride on the labels
-# they carry: domain_analysis_test (unit) and the fresh-id commit case of
-# memory_bound_test (unit) run under ASan, domain_fuzz_test (fuzz) under
-# ASan, and the parent-written checkpoint chain of checkpoint_delta_test
-# (checkpoint) under ASan+UBSan.
+# tables hold batch records) and the SharedScanTest suite
+# (tests/shared_scan_test.cc: a monitor's scan-cache slots hold rows that
+# its engines share, and trust table ids). The domain-tracker tests ride
+# on the labels they carry: domain_analysis_test (unit) and the fresh-id
+# commit case of memory_bound_test (unit) run under ASan, domain_fuzz_test
+# (fuzz) under ASan, and the parent-written checkpoint chain of
+# checkpoint_delta_test (checkpoint) under ASan+UBSan. So does
+# memory_bound_test's fleet allocation gate (unit, ASan): allocation
+# counts do not depend on the build type, so one ceiling holds there too.
 #
 #   scripts/check.sh           # full run (tier-1 + asan + asan+ubsan + tsan)
 #   scripts/check.sh --fast    # tier-1 only (perf gate still runs)
@@ -169,13 +173,13 @@ cmake -B build-asan -S . -DRTIC_SANITIZE=address \
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS" -L 'unit|fuzz|fault')
 
-echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + reuse_test + bench_e13 smoke (build-asan-ubsan/) =="
+echo "== asan+ubsan: checkpoint + shard + anchor + workload labels + reuse and shared-scan suites + bench_e13 smoke (build-asan-ubsan/) =="
 cmake -B build-asan-ubsan -S . -DRTIC_SANITIZE=address+undefined \
   -DRTIC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-asan-ubsan -j "$JOBS" \
   --target rtic_tests bench_e13_checkpoint
 (cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -L 'checkpoint|shard|anchor|workload')
-(cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -R '^(KeptResultTest|BatchAbsorbTest)\.')
+(cd build-asan-ubsan && ctest --output-on-failure -j "$JOBS" -R '^(KeptResultTest|BatchAbsorbTest|SharedScanTest)\.')
 # A 30-second cap keeps the smoke cheap: one small-state full-vs-delta pair
 # is enough to drive the codec, the delta writer, and chain recovery under
 # both sanitizers. Codec or chain regressions fail fast here.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace rtic {
 namespace inc {
@@ -44,7 +45,7 @@ AnchorStore::SlotId AnchorStore::AllocSlot(Tuple valuation) {
 
 void AnchorStore::FreeSlot(SlotId s, Relation* current) {
   if (in_current_[s]) {
-    membership_baseline_.try_emplace(slot_tuples_[s], true);
+    RecordFlip(slot_tuples_[s], true);
     current->Erase(slot_tuples_[s]);
     in_current_[s] = 0;
   }
@@ -158,7 +159,15 @@ Timestamp AnchorStore::NextDeadline(const Span& sp, Timestamp now) const {
 void AnchorStore::Register(SlotId s, Timestamp deadline) {
   if (deadline_[s] == deadline) return;  // canonical entry already queued
   deadline_[s] = deadline;
-  if (deadline != kNoDeadline) wheel_[deadline].push_back(s);
+  if (deadline == kNoDeadline) return;
+  wheel_.emplace_back(deadline, s);
+  std::push_heap(wheel_.begin(), wheel_.end(), std::greater<>());
+}
+
+void AnchorStore::RecordFlip(const Tuple& tuple, bool was_in) {
+  membership_baseline_.push_back(
+      {tuple, static_cast<std::uint32_t>(membership_baseline_.size()),
+       was_in});
 }
 
 void AnchorStore::ProcessSlot(SlotId s, Timestamp now, Relation* current) {
@@ -180,7 +189,7 @@ void AnchorStore::ProcessSlot(SlotId s, Timestamp now, Relation* current) {
   }
   bool in = AnyInWindowSpan(arena_.data() + sp.begin, sp.len, now, interval_);
   if (in != (in_current_[s] != 0)) {
-    membership_baseline_.try_emplace(slot_tuples_[s], in_current_[s] != 0);
+    RecordFlip(slot_tuples_[s], in_current_[s] != 0);
     if (in) {
       current->InsertUnchecked(slot_tuples_[s]);
     } else {
@@ -195,11 +204,11 @@ AnchorStore::Delta AnchorStore::Advance(Timestamp now, Relation* current) {
   // Due slots join the touched set; stale entries (a slot re-registered
   // elsewhere, freed, or reused) are skipped by the deadline check — every
   // live slot's canonical entry sits at exactly deadline_[s].
-  while (!wheel_.empty() && wheel_.begin()->first <= now) {
-    for (SlotId s : wheel_.begin()->second) {
-      if (live_[s] && deadline_[s] == wheel_.begin()->first) Touch(s);
-    }
-    wheel_.erase(wheel_.begin());
+  while (!wheel_.empty() && wheel_.front().first <= now) {
+    const auto [deadline, s] = wheel_.front();
+    std::pop_heap(wheel_.begin(), wheel_.end(), std::greater<>());
+    wheel_.pop_back();
+    if (live_[s] && deadline_[s] == deadline) Touch(s);
   }
   for (SlotId s : touched_slots_) {
     touched_[s] = 0;
@@ -212,8 +221,18 @@ AnchorStore::Delta AnchorStore::Advance(Timestamp now, Relation* current) {
   d.anchors_changed = mutated_anchors_;
   // A tuple erased and re-published within one transition nets out: only a
   // final membership differing from its pre-transition baseline counts.
-  for (const auto& [tuple, was_in] : membership_baseline_) {
-    if (current->Contains(tuple) != was_in) {
+  // Sorting by (tuple, order) puts each tuple's first record, its baseline,
+  // at the head of its run (std::sort works in place: nothing allocated).
+  std::sort(membership_baseline_.begin(), membership_baseline_.end(),
+            [](const Flip& a, const Flip& b) {
+              if (a.tuple < b.tuple) return true;
+              if (b.tuple < a.tuple) return false;
+              return a.order < b.order;
+            });
+  for (std::size_t i = 0; i < membership_baseline_.size(); ++i) {
+    const Flip& f = membership_baseline_[i];
+    if (i > 0 && membership_baseline_[i - 1].tuple == f.tuple) continue;
+    if (current->Contains(f.tuple) != f.was_in) {
       d.current_changed = true;
       break;
     }

@@ -22,10 +22,11 @@
 //     the earliest future instant at which its canonical pruning or its
 //     window membership can change. For an ascending span those are the
 //     first anchor's expiry (ts + b + 1) and the first immature anchor's
-//     maturity (ts + a); the earlier of the two is bucketed in an ordered
-//     map keyed by deadline. A transition to time `now` pops every bucket
-//     <= now and visits exactly those slots plus the ones mutated this
-//     transition — no other slot's state can change, by construction.
+//     maturity (ts + a); the earlier of the two is pushed, with the slot,
+//     onto a vector-backed min-heap ordered by deadline. A transition to
+//     time `now` pops every entry <= now and visits exactly those slots plus
+//     the ones mutated this transition — no other slot's state can change,
+//     by construction.
 //
 // Canonical-pruning invariant (why checkpoints stay byte-identical to the
 // eager per-valuation prune): after Advance(now), every live span equals
@@ -47,7 +48,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -162,6 +162,8 @@ class AnchorStore {
   /// The earliest future event time for the span, or kNoDeadline.
   Timestamp NextDeadline(const Span& sp, Timestamp now) const;
   void Register(SlotId s, Timestamp deadline);
+  /// Records that `tuple`'s membership in `current` flips from `was_in`.
+  void RecordFlip(const Tuple& tuple, bool was_in);
   /// Moves the span's data to the arena tail with capacity `new_cap`.
   void Grow(SlotId s, std::uint32_t new_cap);
   void MaybeCompact();
@@ -183,9 +185,10 @@ class AnchorStore {
   std::vector<Timestamp> arena_;
   std::size_t dead_ = 0;  // arena entries outside every span's cap region
 
-  /// Deadline buckets. A slot's canonical registration is deadline_[s];
-  /// entries whose bucket key disagrees are stale and skipped on pop.
-  std::map<Timestamp, std::vector<SlotId>> wheel_;
+  /// Min-heap (std::push_heap with std::greater) of (deadline, slot). A
+  /// slot's canonical registration is deadline_[s]; entries whose deadline
+  /// disagrees are stale and skipped on pop.
+  std::vector<std::pair<Timestamp, SlotId>> wheel_;
 
   std::vector<SlotId> touched_slots_;        // mutated since last Advance
   std::vector<SlotId> created_since_filter_; // since: unfiltered slots
@@ -194,13 +197,19 @@ class AnchorStore {
   std::size_t live_timestamps_ = 0;
   bool mutated_anchors_ = false;
 
-  /// Pre-transition membership of every tuple whose membership flipped at
-  /// least once since the last Advance (first flip records the original).
-  /// Advance reports current_changed only when some FINAL membership
-  /// differs from its baseline, so erase-then-recreate of the same
-  /// valuation in one transition correctly reads as "unchanged" — exactly
-  /// what the former whole-relation compare concluded.
-  std::unordered_map<Tuple, bool, TupleHash> membership_baseline_;
+  /// One record per membership flip since the last Advance: the tuple, its
+  /// membership before the flip, and the flip's position in this list. The
+  /// first record of a tuple holds its pre-transition baseline. Advance
+  /// reports current_changed only when some FINAL membership differs from
+  /// its baseline, so erase-then-recreate of the same valuation in one
+  /// transition correctly reads as "unchanged" — exactly what the former
+  /// whole-relation compare concluded. Cleared, not freed, by Advance.
+  struct Flip {
+    Tuple tuple;
+    std::uint32_t order = 0;
+    bool was_in = false;
+  };
+  std::vector<Flip> membership_baseline_;
 };
 
 }  // namespace inc

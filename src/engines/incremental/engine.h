@@ -27,11 +27,13 @@
 // as always. Clock ticks and updates to unrelated tables thus cost a key
 // check per evaluation.
 //
-// A standalone engine (Create) owns all of that state. Inside a monitor,
-// engines are linked into an inc::SubplanDag (subplan_dag.h), which gives
-// identical temporal nodes, identical verdicts and the domain tracker one
-// shared object each, written by one engine and read by the others.
-// Verdicts and checkpoints are the same either way.
+// A standalone engine (Create) owns all of that state, and a private scan
+// cache (fo/scan_cache.h). Inside a monitor, engines are linked into an
+// inc::SubplanDag (subplan_dag.h), which gives identical temporal nodes,
+// identical verdicts and the domain tracker one shared object each, written
+// by one engine and read by the others; and they scan atoms through the
+// monitor's one cache (UseScanCache). Verdicts and checkpoints are the same
+// either way.
 //
 // The domain tracker is maintained only where an engine holding it can
 // read it (tl::Analysis::reads_domain() of the normalized constraint).
@@ -140,6 +142,12 @@ class IncrementalEngine : public CheckerEngine {
 
   /// The normalized constraint the engine actually runs.
   const tl::Formula& normalized_constraint() const { return *constraint_; }
+
+  /// Scans atoms through `cache` (a monitor passes one to all of its
+  /// engines) instead of the engine's private one; verdicts are the same.
+  void UseScanCache(std::shared_ptr<fo::ScanCache> cache) {
+    scratch_.UseScanCache(std::move(cache));
+  }
 
   /// Serializes the checker's complete state — clock, cumulative domain,
   /// and every auxiliary structure — to a portable text checkpoint. Because

@@ -90,6 +90,12 @@ class ResponseEngine : public CheckerEngine {
   /// (used by the monitor to route registration).
   static bool LooksLikeResponseConstraint(const tl::Formula& constraint);
 
+  /// Scans atoms through `cache` (a monitor passes one to all of its
+  /// engines) instead of the engine's private one; verdicts are the same.
+  void UseScanCache(std::shared_ptr<fo::ScanCache> cache) {
+    scratch_.UseScanCache(std::move(cache));
+  }
+
   /// Checkpointing: obligations are bounded by window x trigger rate, so a
   /// response checker can be persisted and resumed without history replay,
   /// exactly like the incremental engine.
@@ -120,7 +126,7 @@ class ResponseEngine : public CheckerEngine {
 
   std::vector<ExpiredObligation> last_expired_;
   DomainTracker domain_;
-  fo::EvalScratch scratch_;  // atom plans and the atom cache
+  fo::EvalScratch scratch_;  // atom plans, bound to a scan cache
   bool has_prev_ = false;
   Timestamp prev_time_ = 0;
 };

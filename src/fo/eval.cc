@@ -270,114 +270,62 @@ class Evaluator {
   }
 
   /// Compiles the per-row work of an atom scan into position checks, done
-  /// once per node instead of once per row (the old code rebuilt a
-  /// name-keyed binding map for every scanned row).
-  static EvalScratch::AtomPlan BuildAtomPlan(const Formula& f,
-                                             const tl::Analysis& analysis) {
+  /// once per node instead of once per row.
+  static ScanCache::Shape AtomShape(const Formula& f,
+                                    const tl::Analysis& analysis) {
     const std::vector<Column>& columns = analysis.ColumnsFor(f);
-    EvalScratch::AtomPlan plan;
+    ScanCache::Shape shape;
+    shape.table = f.predicate();
     // First table position of each variable name (atoms are narrow; linear
     // scan beats a map here).
     std::vector<std::pair<const std::string*, std::size_t>> first;
     for (std::size_t i = 0; i < f.terms().size(); ++i) {
       const Term& t = f.terms()[i];
       if (t.is_constant()) {
-        plan.const_checks.emplace_back(i, &t.value());
+        shape.const_checks.emplace_back(i, t.value());
         continue;
       }
       bool seen = false;
       for (const auto& [name, pos] : first) {
         if (*name == t.name()) {
-          plan.dup_checks.emplace_back(pos, i);
+          shape.dup_checks.emplace_back(pos, i);
           seen = true;
           break;
         }
       }
       if (!seen) first.emplace_back(&t.name(), i);
     }
-    plan.var_pos.resize(columns.size(), 0);
+    shape.var_pos.resize(columns.size(), 0);
     for (std::size_t c = 0; c < columns.size(); ++c) {
       for (const auto& [name, pos] : first) {
         if (*name == columns[c].name) {
-          plan.var_pos[c] = pos;
+          shape.var_pos[c] = pos;
           break;
         }
       }
     }
-    plan.layout = analysis.LayoutFor(f);
-    plan.identity = plan.const_checks.empty() && plan.dup_checks.empty() &&
-                    plan.var_pos.size() == f.terms().size();
-    for (std::size_t c = 0; plan.identity && c < plan.var_pos.size(); ++c) {
-      if (plan.var_pos[c] != c) plan.identity = false;
-    }
-    return plan;
+    return shape;
   }
 
   Result<Relation> EvalAtom(const Formula& f) {
     RTIC_ASSIGN_OR_RETURN(const Table* table,
                           ctx_.db->GetTable(f.predicate()));
-    // An atom's scan result is a pure function of the table content; the
-    // (id, version) pin keeps cached entries valid exactly as long as the
-    // table is untouched.
-    if (scratch_ != nullptr) {
-      scratch_->scanned_tables.push_back(table);
-      auto hit = scratch_->atom_results.find(&f);
-      if (hit != scratch_->atom_results.end() &&
-          hit->second.table_id == table->id() &&
-          hit->second.table_version == table->version()) {
-        return hit->second.rel;
-      }
+    const Relation::Layout& layout = ctx_.analysis->LayoutFor(f);
+    if (scratch_ == nullptr) {
+      return ScanCache::ScanTable(AtomShape(f, *ctx_.analysis), *table,
+                                  layout);
     }
-    const EvalScratch::AtomPlan* plan;
-    EvalScratch::AtomPlan local_plan;
-    if (scratch_ != nullptr) {
-      auto it = scratch_->atom_plans.find(&f);
-      if (it == scratch_->atom_plans.end()) {
-        it = scratch_->atom_plans.emplace(&f, BuildAtomPlan(f, *ctx_.analysis))
-                 .first;
-      }
-      plan = &it->second;
-    } else {
-      local_plan = BuildAtomPlan(f, *ctx_.analysis);
-      plan = &local_plan;
+    // A scan-cache hit is still a read of the table.
+    scratch_->scanned_tables.push_back(table);
+    auto it = scratch_->atom_plans.find(&f);
+    if (it == scratch_->atom_plans.end()) {
+      const ScanCache::SlotId slot =
+          scratch_->scans->Bind(AtomShape(f, *ctx_.analysis), layout);
+      it = scratch_->atom_plans.emplace(&f, EvalScratch::AtomPlan{slot, layout})
+               .first;
     }
-
-    Relation out(plan->layout);
-    const std::size_t n = plan->var_pos.size();
-    for (const Tuple& row : table->rows()) {
-      bool match = true;
-      for (const auto& [i, v] : plan->const_checks) {
-        if (!(row.at(i) == *v)) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        for (const auto& [i, j] : plan->dup_checks) {
-          if (!(row.at(i) == row.at(j))) {
-            match = false;
-            break;
-          }
-        }
-      }
-      if (!match) continue;
-      if (plan->identity) {
-        // Output row is the table row itself: share its payload.
-        out.InsertUnchecked(row);
-        continue;
-      }
-      std::vector<Value> vals;
-      vals.reserve(n);
-      for (std::size_t c = 0; c < n; ++c) {
-        vals.push_back(row.at(plan->var_pos[c]));
-      }
-      out.InsertUnchecked(Tuple(std::move(vals)));
-    }
-    if (scratch_ != nullptr) {
-      scratch_->atom_results[&f] =
-          EvalScratch::AtomResult{table->id(), table->version(), out};
-    }
-    return out;
+    return scratch_->scans->Scan(it->second.slot, *table)
+        .WithLayout(it->second.layout);
   }
 
   Result<Relation> EvalComparison(const Formula& f, bool negated = false) {
@@ -601,6 +549,16 @@ class Evaluator {
 };
 
 }  // namespace
+
+EvalScratch::~EvalScratch() {
+  for (const auto& [node, plan] : atom_plans) scans->Release(plan.slot);
+}
+
+void EvalScratch::UseScanCache(std::shared_ptr<ScanCache> cache) {
+  for (const auto& [node, plan] : atom_plans) scans->Release(plan.slot);
+  atom_plans.clear();
+  scans = std::move(cache);
+}
 
 Result<Relation> Evaluate(const tl::Formula& formula, const EvalContext& ctx) {
   if (ctx.db == nullptr || ctx.analysis == nullptr) {

@@ -25,10 +25,11 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
+#include "fo/scan_cache.h"
 #include "ra/relation.h"
 #include "storage/database.h"
 #include "storage/domain_tracker.h"
@@ -47,23 +48,37 @@ using TemporalResolver =
 /// tree against an evolving history. Optional: evaluation without one is
 /// identical, just slower. Not thread-safe; one scratch per engine.
 ///
+/// Atom scans go through `scans`, a ScanCache (fo/scan_cache.h) that a
+/// monitor shares among all of its engines, so a changed table is scanned
+/// once per atom shape per monitor, not once per atom per engine. A scratch
+/// starts with a private cache of its own.
+///
 /// Everything here is sized by the formula tree, the current state and the
 /// active domain, never by the number of states: an atom's rows are kept
-/// only with its cached result, which the next scan of a changed table
-/// replaces. Rows are not interned across transitions, because a row is
-/// rebuilt only when its table changes, and a pool that remembered every
-/// row would grow with the history.
+/// only in its cache slot, which the next scan of a changed table replaces.
+/// Rows are not interned across transitions, because a row is rebuilt only
+/// when its table changes, and a pool that remembered every row would grow
+/// with the history.
 struct EvalScratch {
-  /// Compiled scan plan for one atom, keyed by the formula node (valid for
-  /// the lifetime of the engine's formula tree).
+  EvalScratch() = default;
+  /// Releases the cache slots the atom plans are bound to.
+  ~EvalScratch();
+  EvalScratch(const EvalScratch&) = delete;
+  EvalScratch& operator=(const EvalScratch&) = delete;
+
+  /// Evaluates atoms through `cache` from now on (releasing the slots of
+  /// the plans bound so far, which rebind on their next scan).
+  void UseScanCache(std::shared_ptr<ScanCache> cache);
+
+  /// Where atom scans are kept.
+  std::shared_ptr<ScanCache> scans = std::make_shared<ScanCache>();
+
+  /// One atom's binding, keyed by the formula node (valid for the lifetime
+  /// of the engine's formula tree): its slot in `scans`, and the columns
+  /// its result carries.
   struct AtomPlan {
-    std::vector<std::size_t> var_pos;  // table position per output column
-    // term position -> constant it must equal (pointer into the formula)
-    std::vector<std::pair<std::size_t, const Value*>> const_checks;
-    // repeated variable: (first position, later position) must agree
-    std::vector<std::pair<std::size_t, std::size_t>> dup_checks;
-    bool identity = false;  // output row is the table row verbatim
-    Relation::Layout layout;  // the scan result's columns
+    ScanCache::SlotId slot = 0;
+    Relation::Layout layout;
   };
   std::map<const tl::Formula*, AtomPlan> atom_plans;
 
@@ -78,20 +93,8 @@ struct EvalScratch {
   /// extension costs O(1) instead of re-materializing every value.
   std::map<ValueType, Relation> domain_relations;
 
-  /// Atom evaluation results keyed by the atom node, each pinned to the
-  /// scanned table's (id, version). A hit requires that exact content, so
-  /// entries self-validate: they survive across transitions while the table
-  /// is untouched and miss as soon as it changes (steady-state updates that
-  /// touch one table re-scan only that table's atoms).
-  struct AtomResult {
-    std::uint64_t table_id = 0;
-    std::uint64_t table_version = 0;
-    Relation rel;
-  };
-  std::map<const tl::Formula*, AtomResult> atom_results;
-
   /// What evaluations read since the caller last cleared these: the table
-  /// of every atom scanned (atom-cache hits included), every temporal leaf
+  /// of every atom scanned (scan-cache hits included), every temporal leaf
   /// resolved (repeats possible in both), and whether the quantification
   /// domain was consulted. That is everything an evaluation depends on, so
   /// a caller that clears them first can key the result by them.
@@ -108,7 +111,7 @@ struct EvalScratch {
 
   /// Call after restoring engine state from a checkpoint: the restored
   /// tracker can reuse a version number for different contents. Plans and
-  /// the atom cache are content-addressed and stay valid.
+  /// the scan cache are content-addressed and stay valid.
   void InvalidateDomain() {
     domain_version = std::numeric_limits<std::uint64_t>::max();
     domain_values.clear();

@@ -131,8 +131,10 @@ Status ConstraintMonitor::RegisterConstraintFormula(
   if (ResponseEngine::LooksLikeResponseConstraint(formula)) {
     ResponseOptions opts;
     opts.extra_constants = options_.domain_constants;
-    RTIC_ASSIGN_OR_RETURN(reg->engine,
+    RTIC_ASSIGN_OR_RETURN(std::unique_ptr<ResponseEngine> engine,
                           ResponseEngine::Create(formula, catalog, opts));
+    engine->UseScanCache(scans_);
+    reg->engine = std::move(engine);
     constraints_.push_back(std::move(reg));
     if (delta_tracking_) constraints_.back()->engine->BeginDeltaTracking();
     return Status::OK();
@@ -145,6 +147,7 @@ Status ConstraintMonitor::RegisterConstraintFormula(
       opts.extra_constants = options_.domain_constants;
       RTIC_ASSIGN_OR_RETURN(std::unique_ptr<IncrementalEngine> engine,
                             IncrementalEngine::Create(formula, catalog, opts));
+      engine->UseScanCache(scans_);
       // Only engines registered at the same transition count have seen the
       // same history, so only they can share subplans.
       dag_.Add(engine.get(), transition_count_);

@@ -29,6 +29,7 @@
 #include "engines/checker_engine.h"
 #include "engines/incremental/pruning.h"
 #include "engines/incremental/subplan_dag.h"
+#include "fo/scan_cache.h"
 #include "monitor/monitor_iface.h"
 #include "storage/update_batch.h"
 #include "tl/analyzer.h"
@@ -264,6 +265,10 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
   /// The configuration this monitor runs with.
   const MonitorOptions& options() const { return options_; }
 
+  /// The atom scans this monitor's incremental and response engines share
+  /// (introspection for tests and measurements).
+  const fo::ScanCache& scan_cache() const { return *scans_; }
+
  private:
   struct Registered;
 
@@ -320,6 +325,9 @@ class ConstraintMonitor : public MonitorLike, private wal::ReplayTarget {
   std::vector<std::unique_ptr<Registered>> constraints_;
   // Links the incremental engines, so each shared subplan is kept once.
   inc::SubplanDag dag_;
+  // One scan per table version and atom shape for all incremental and
+  // response engines (fo/scan_cache.h).
+  std::shared_ptr<fo::ScanCache> scans_ = std::make_shared<fo::ScanCache>();
 
   // Delta-checkpoint tracking (armed by BeginDeltaTracking()).
   bool delta_tracking_ = false;

@@ -129,6 +129,14 @@ class Relation {
     return out;
   }
 
+  /// Same, under an existing layout: O(1), allocates nothing. Caller
+  /// guarantees per-position types match.
+  Relation WithLayout(const Layout& layout) const {
+    Relation out(layout);
+    out.rep_ = rep_;
+    return out;
+  }
+
   /// Lazily built, cached hash index on the given key column positions.
   /// Safe to call from multiple readers concurrently (the cache is guarded:
   /// monitors on different threads, such as the server's tenants, share the

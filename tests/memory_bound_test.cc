@@ -31,16 +31,27 @@
 // so no engine keeps a cumulative domain tracker for them; one that did
 // would add every new id to it and grow by tens of bytes per state.
 //
-// Live bytes come from the counting global operator new/delete of
-// bench/alloc_counter.cc, linked into this test, which adds and subtracts
-// malloc_usable_size. When that reading does not move (a runtime that
-// bypasses the replaced operators), the tests skip with a message instead of
-// passing on a count of zero.
+// The allocation gate is a count, not a heap size: the four families of
+// perfbench's fleet_mem workload (alarm, library, freshness and commit, 15
+// constraints over 15 tables, with fleet_mem's dials and seed 1) run merged
+// through one in-memory monitor, and the heap allocations per batch over
+// the 15,000 batches after a 3,000-batch warm-up must stay at or below a
+// fixed ceiling. The count does not depend on the build type (optimized and
+// unoptimized builds, with or without ASan, make the same allocations), so
+// one ceiling holds everywhere; an allocation added to the per-batch check
+// path moves it by one per batch per constraint that takes the path.
+//
+// Live bytes and allocations come from the counting global operator
+// new/delete of bench/alloc_counter.cc, linked into this test, which adds
+// and subtracts malloc_usable_size. When that reading does not move (a
+// runtime that bypasses the replaced operators), the tests skip with a
+// message instead of passing on a count of zero.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -65,6 +76,13 @@ constexpr std::size_t kWarmupStates = 10000;
 constexpr std::size_t kMeasuredStates = 20000;
 constexpr std::int64_t kGrowthBoundBytes = 64 * 1024;
 constexpr std::uint64_t kSeed = 1717;
+
+// The fleet allocation gate (see the header comment). Measured: 186.86
+// allocations per batch with a scan per atom per engine and a map-based
+// anchor wheel, 105.61 with one scan cache per monitor and the flat wheel.
+constexpr std::size_t kFleetWarmup = 3000;
+constexpr std::size_t kFleetMeasured = 15000;
+constexpr double kFleetAllocsPerBatchCeiling = 106;
 
 // Published through a volatile pointer so the compiler cannot elide the
 // probe's allocation.
@@ -179,6 +197,60 @@ void ExpectFlatCommitHeap(ConstraintMonitor* monitor) {
       << " storage rows at the end)";
 }
 
+// perfbench/fleet_mem.cc's families at `seed`, each `states` long with
+// max_gap = 1, merged state by state into one batch stream.
+workload::Workload FleetWorkload(std::uint64_t seed, std::size_t states) {
+  workload::AlarmParams alarm;
+  alarm.length = states;
+  alarm.max_gap = 1;
+  alarm.late_prob = 0.0075;
+  alarm.seed = seed * 4 + 1;
+  workload::LibraryParams library;
+  library.length = states;
+  library.max_gap = 1;
+  library.nonmember_prob = 0.0075;
+  library.late_return_prob = 0.004;
+  library.seed = seed * 4 + 2;
+  workload::FreshnessParams freshness;
+  freshness.length = states;
+  freshness.max_gap = 1;
+  freshness.stale_prob = 0.002;
+  freshness.early_decommission_prob = 0.04;
+  freshness.decommission_prob = 0.02 * 2000.0 / static_cast<double>(states);
+  freshness.seed = seed * 4 + 3;
+  workload::CommitParams commit;
+  commit.length = states;
+  commit.max_gap = 1;
+  commit.late_vote_prob = 0.0075;
+  commit.late_decide_prob = 0.0075;
+  commit.seed = seed * 4 + 4;
+  const std::vector<workload::Workload> families = {
+      workload::MakeAlarmWorkload(alarm),
+      workload::MakeLibraryWorkload(library),
+      workload::MakeFreshnessWorkload(freshness),
+      workload::MakeCommitProtocolWorkload(commit)};
+
+  workload::Workload merged;
+  for (const workload::Workload& f : families) {
+    merged.schema.insert(f.schema.begin(), f.schema.end());
+    merged.constraints.insert(merged.constraints.end(),
+                              f.constraints.begin(), f.constraints.end());
+  }
+  for (std::size_t i = 0; i < states; ++i) {
+    UpdateBatch batch(families[0].batches.at(i).timestamp());
+    for (const workload::Workload& f : families) {
+      for (const auto& [table, tuples] : f.batches.at(i).deletes()) {
+        for (const Tuple& t : tuples) batch.Delete(table, t);
+      }
+      for (const auto& [table, tuples] : f.batches.at(i).inserts()) {
+        for (const Tuple& t : tuples) batch.Insert(table, t);
+      }
+    }
+    merged.batches.push_back(std::move(batch));
+  }
+  return merged;
+}
+
 class MemoryBoundTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -197,6 +269,37 @@ TEST_F(MemoryBoundTest, MonitorHeapDoesNotGrowWithTheHistory) {
 TEST_F(MemoryBoundTest, CommitMonitorHeapDoesNotGrowWithFreshIds) {
   ConstraintMonitor monitor;
   ExpectFlatCommitHeap(&monitor);
+}
+
+TEST_F(MemoryBoundTest, FleetAllocationsPerBatchStayUnderTheGate) {
+  const workload::Workload w =
+      FleetWorkload(/*seed=*/1, kFleetWarmup + kFleetMeasured);
+  ASSERT_EQ(w.schema.size(), 15u);
+  ASSERT_EQ(w.constraints.size(), 15u);
+  ConstraintMonitor monitor;
+  for (const auto& [name, schema] : w.schema) {
+    RTIC_ASSERT_OK(monitor.CreateTable(name, schema));
+  }
+  for (const auto& [name, text] : w.constraints) {
+    RTIC_ASSERT_OK(monitor.RegisterConstraint(name, text));
+  }
+  for (std::size_t i = 0; i < kFleetWarmup; ++i) {
+    RTIC_ASSERT_OK(monitor.ApplyUpdate(w.batches[i]).status());
+  }
+  const std::uint64_t before = bench::AllocCount();
+  for (std::size_t i = kFleetWarmup; i < w.batches.size(); ++i) {
+    RTIC_ASSERT_OK(monitor.ApplyUpdate(w.batches[i]).status());
+  }
+  const double per_batch =
+      static_cast<double>(bench::AllocCount() - before) /
+      static_cast<double>(kFleetMeasured);
+  EXPECT_GT(monitor.total_violations(), 0u);
+  std::printf("fleet allocations per batch: %.2f (ceiling %.0f)\n", per_batch,
+              kFleetAllocsPerBatchCeiling);
+  EXPECT_LE(per_batch, kFleetAllocsPerBatchCeiling)
+      << "the check path allocates " << per_batch
+      << " times per fleet batch, over the ceiling of "
+      << kFleetAllocsPerBatchCeiling;
 }
 
 TEST_F(MemoryBoundTest, ShardedMonitorHeapDoesNotGrowWithTheHistory) {
